@@ -14,32 +14,11 @@ two parts, per engine present in both files:
     change in what gets synthesized, or how small, is a regression (or an
     improvement that must be re-baselined deliberately);
   * search-effort trajectory, gated when the baseline carries a
-    `counters` object (pre-counter baselines skip this part).  The
-    counters fall into three classes:
-
-      - **exactly gated** — deterministic in the committed benchmark set
-        alone: `fences_enumerated` (fence families are generated
-        wholesale per gate count, so the sum over completely enumerated
-        solves is fully determined by what was solved at which size) and
-        the SAT-sweeping counters `sweep_*` (fixed simulation seed,
-        deterministic refinement/proof schedule).  Any drift means the
-        search behaviour changed.
-      - **tolerance gated** (default +/-10%, `--counter-tolerance`) —
-        the volume counters (`dags_generated`, `dags_pruned`,
-        `factorization_attempts`), the memo-effectiveness counters
-        (`factor_memo_hits`/`misses`), and the lower-bound-probe /
-        portfolio counters (`probe_calls`, `probe_unsat_levels`,
-        `probe_sat_levels`, `portfolio_probe_wins`,
-        `portfolio_sweep_wins`), and the batched-factorization screen
-        counters (`kernel_batch_queries`, `kernel_batch_screened`,
-        `kernel_batch_survivors`).  The probe's conflict-budget cutoff is
-        machine-independent, but under a wall-clock deadline or the
-        portfolio race the losing side is cancelled at a
-        timing-dependent point, so these totals wobble with machine
-        load; a change beyond the tolerance means the probe/race (or
-        screen) behaviour genuinely shifted.
-      - **reported, never gated** — wall-clock-shaped totals (AllSAT
-        propagations, SAT decisions/conflicts/restarts);
+    `counters` object (pre-counter baselines skip this part).  Each
+    counter's gate class -- exact, tolerance (default +/-10%,
+    `--counter-tolerance`) or ungated -- and the reason for it are in the
+    counter table `src/util/stage_counters.def`, which this script reads.
+    A counter missing from either side's `counters` object fails;
   * performance trajectory: `wall_seconds` may not regress by more than
     the tolerance (default +25%).  Getting faster never fails.
 
@@ -48,37 +27,23 @@ is meaningless and the script errors out.
 
 `--audit-baseline` skips the comparison and instead checks the baseline
 itself for schema drift: every engine entry carrying a `counters` object
-must carry *all* counter keys the current binaries emit.  A missing key
+must carry exactly the counter keys of the counter table.  A missing key
 means the committed BENCH_*.json predates a counter added since — stale
 against the gated schema — and must be regenerated deliberately.
 """
 
 import argparse
 import json
+import pathlib
+import re
 import sys
 
-# Counter keys gated exactly (deterministic in the committed benchmark
-# set), with tolerance (volume / probe / race counters), and the full
-# schema the current bench binaries emit (the --audit-baseline contract).
-EXACT_COUNTERS = ("fences_enumerated", "sweep_sim_rounds",
-                  "sweep_candidates", "sweep_proofs", "sweep_refutations",
-                  "sweep_merged_nodes")
-VOLUME_COUNTERS = ("dags_generated", "dags_pruned",
-                   "factorization_attempts")
-MEMO_COUNTERS = ("factor_memo_hits", "factor_memo_misses")
-PROBE_COUNTERS = ("probe_calls", "probe_unsat_levels", "probe_sat_levels",
-                  "portfolio_probe_wins", "portfolio_sweep_wins")
-# Batched-factorization screen counters: the query volume tracks the memo
-# miss volume (every miss enters the screen), and the screened/survivor
-# split is the screen's selectivity.  Deadline cuts truncate a batch at a
-# timing-dependent split, so these share the volume tolerance.
-KERNEL_COUNTERS = ("kernel_batch_queries", "kernel_batch_screened",
-                   "kernel_batch_survivors")
-UNGATED_COUNTERS = ("factorization_prunes", "dont_care_expansions",
-                    "allsat_propagations", "allsat_merges",
-                    "sat_decisions", "sat_conflicts", "sat_restarts")
-ALL_COUNTERS = (EXACT_COUNTERS + VOLUME_COUNTERS + MEMO_COUNTERS +
-                PROBE_COUNTERS + KERNEL_COUNTERS + UNGATED_COUNTERS)
+# (name, gate) per line of the counter table, in table order.
+COUNTERS = re.findall(
+    r"^STPES_STAGE_COUNTER\((\w+), (\w+)\)$",
+    (pathlib.Path(__file__).resolve().parent.parent / "src" / "util" /
+     "stage_counters.def").read_text(encoding="utf-8"), re.MULTILINE)
+ALL_COUNTERS = tuple(name for name, _ in COUNTERS)
 
 
 def load(path):
@@ -128,9 +93,8 @@ def main():
     parser.add_argument("--runtime-tolerance", type=float, default=0.25,
                         help="allowed fractional wall-clock regression")
     parser.add_argument("--counter-tolerance", type=float, default=0.10,
-                        help="allowed fractional drift of the volume, "
-                             "memo, and probe/portfolio search-effort "
-                             "counters")
+                        help="allowed fractional drift of the "
+                             "tolerance-gated counters")
     args = parser.parse_args()
 
     baseline = load(args.baseline)
@@ -184,73 +148,27 @@ def main():
                     f"{name}: merged_nodes changed "
                     f"{base['merged_nodes']} -> {cur.get('merged_nodes')}")
 
-        # Search-effort counters.  Only gated when the baseline carries
-        # them, so pre-counter baselines keep working until deliberately
-        # regenerated.
+        # Search-effort counters, gated per the table's class.  Only
+        # when the baseline carries them, so pre-counter baselines keep
+        # working until deliberately regenerated.
         base_counters = base.get("counters")
         cur_counters = cur.get("counters", {})
-        if base_counters is not None:
-            if (base_counters.get("fences_enumerated") !=
-                    cur_counters.get("fences_enumerated")):
+        gated = COUNTERS if base_counters is not None else ()
+        for key, gate in gated:
+            base_val = base_counters.get(key)
+            cur_val = cur_counters.get(key)
+            if base_val is None or cur_val is None:
+                errors += fail(f"{name}: counter {key} missing "
+                               f"({base_val} vs {cur_val})")
+            elif gate == "exact" and cur_val != base_val:
+                errors += fail(f"{name}: counter {key} changed "
+                               f"{base_val} -> {cur_val}")
+            elif (gate == "tolerance" and abs(cur_val - base_val) >
+                  base_val * args.counter_tolerance):
                 errors += fail(
-                    f"{name}: counter fences_enumerated changed "
-                    f"{base_counters.get('fences_enumerated')} -> "
-                    f"{cur_counters.get('fences_enumerated')}")
-            for key in VOLUME_COUNTERS:
-                base_val = base_counters.get(key)
-                cur_val = cur_counters.get(key)
-                if base_val is None or cur_val is None:
-                    if base_val != cur_val:
-                        errors += fail(f"{name}: counter {key} missing "
-                                       f"({base_val} vs {cur_val})")
-                    continue
-                slack = base_val * args.counter_tolerance
-                if abs(cur_val - base_val) > slack:
-                    errors += fail(
-                        f"{name}: counter {key} drifted beyond "
-                        f"{100 * args.counter_tolerance:.0f}%: "
-                        f"{base_val} -> {cur_val}")
-            # Memo-effectiveness and probe/portfolio counters, gated only
-            # once a baseline regenerated with the respective subsystem
-            # carries them (older baselines simply skip this part).  A
-            # memo-hit collapse means the cache keying broke; a probe
-            # drift means levels stopped being refuted (or the portfolio
-            # race flipped) — both show up here long before the
-            # wall-clock gate trips on fast hardware.  The probe counters
-            # share the tolerance because a deadline or the race cancels
-            # the probe at a timing-dependent point.
-            for key in MEMO_COUNTERS + PROBE_COUNTERS + KERNEL_COUNTERS:
-                base_val = base_counters.get(key)
-                cur_val = cur_counters.get(key)
-                if base_val is None:
-                    continue
-                if cur_val is None:
-                    errors += fail(f"{name}: counter {key} missing from "
-                                   "fresh run")
-                    continue
-                slack = base_val * args.counter_tolerance
-                if abs(cur_val - base_val) > slack:
-                    errors += fail(
-                        f"{name}: counter {key} drifted beyond "
-                        f"{100 * args.counter_tolerance:.0f}%: "
-                        f"{base_val} -> {cur_val}")
-            # SAT-sweeping counters are gated *exactly*: the simulation
-            # seed is fixed, the benchmark set is committed, and the
-            # class-refinement / proof schedule is deterministic in both,
-            # so any drift means the sweep's behaviour changed.  Gated
-            # only once a baseline carries them (table1 baselines
-            # predating the sweep subsystem skip this part).
-            for key in EXACT_COUNTERS:
-                if key == "fences_enumerated":
-                    continue  # gated above, unconditionally
-                base_val = base_counters.get(key)
-                if base_val is None:
-                    continue
-                cur_val = cur_counters.get(key)
-                if base_val != cur_val:
-                    errors += fail(
-                        f"{name}: counter {key} changed "
-                        f"{base_val} -> {cur_val}")
+                    f"{name}: counter {key} drifted beyond "
+                    f"{100 * args.counter_tolerance:.0f}%: "
+                    f"{base_val} -> {cur_val}")
 
         base_wall = float(base["wall_seconds"])
         cur_wall = float(cur["wall_seconds"])

@@ -4,7 +4,6 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 
 #include "core/exact_synthesis.hpp"
 #include "util/stopwatch.hpp"
@@ -267,37 +266,6 @@ int run_table1(const std::string& collection_name,
     json << "]}\n";
   }
   return disagreements;
-}
-
-std::string counters_json(const core::stage_counters& c) {
-  std::ostringstream os;
-  os << "{\"fences_enumerated\":" << c.fences_enumerated
-     << ",\"dags_generated\":" << c.dags_generated
-     << ",\"dags_pruned\":" << c.dags_pruned
-     << ",\"factorization_attempts\":" << c.factorization_attempts
-     << ",\"factorization_prunes\":" << c.factorization_prunes
-     << ",\"dont_care_expansions\":" << c.dont_care_expansions
-     << ",\"factor_memo_hits\":" << c.factor_memo_hits
-     << ",\"factor_memo_misses\":" << c.factor_memo_misses
-     << ",\"allsat_propagations\":" << c.allsat_propagations
-     << ",\"allsat_merges\":" << c.allsat_merges
-     << ",\"sat_decisions\":" << c.sat_decisions
-     << ",\"sat_conflicts\":" << c.sat_conflicts
-     << ",\"sat_restarts\":" << c.sat_restarts
-     << ",\"sweep_sim_rounds\":" << c.sweep_sim_rounds
-     << ",\"sweep_candidates\":" << c.sweep_candidates
-     << ",\"sweep_proofs\":" << c.sweep_proofs
-     << ",\"sweep_refutations\":" << c.sweep_refutations
-     << ",\"sweep_merged_nodes\":" << c.sweep_merged_nodes
-     << ",\"probe_calls\":" << c.probe_calls
-     << ",\"probe_unsat_levels\":" << c.probe_unsat_levels
-     << ",\"probe_sat_levels\":" << c.probe_sat_levels
-     << ",\"portfolio_probe_wins\":" << c.portfolio_probe_wins
-     << ",\"portfolio_sweep_wins\":" << c.portfolio_sweep_wins
-     << ",\"kernel_batch_queries\":" << c.kernel_batch_queries
-     << ",\"kernel_batch_screened\":" << c.kernel_batch_screened
-     << ",\"kernel_batch_survivors\":" << c.kernel_batch_survivors << "}";
-  return os.str();
 }
 
 }  // namespace stpes::bench

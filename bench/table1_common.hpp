@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "service/metrics.hpp"
 #include "tt/truth_table.hpp"
 #include "util/run_context.hpp"
 
@@ -62,8 +63,8 @@ int run_table1(const std::string& collection_name,
                const table1_options& options);
 
 /// Renders a full `stage_counters` object as the `"counters"` JSON value
-/// shared by every BENCH_*.json emitter (table1 rows and the sweep bench),
-/// so the regression gate and the trend exporter see one key set.
-std::string counters_json(const core::stage_counters& counters);
+/// shared by every BENCH_*.json emitter (table1 rows and the sweep bench);
+/// it is the STATS JSON `stage_counters` writer, so all see one key set.
+using service::counters_json;
 
 }  // namespace stpes::bench

@@ -163,14 +163,12 @@ struct solver::impl {
 
   // Budgets and results ------------------------------------------------
   std::uint64_t conflict_budget = 0;  // 0 = unlimited
-  util::time_budget time_budget;
   core::run_context* run_ctx = nullptr;  // shared; not owned
   std::uint64_t conflicts_at_solve_start = 0;
 
-  /// Deadline (shim or shared) hit, or cancellation requested.
+  /// Deadline hit or cancellation requested.
   [[nodiscard]] bool budget_stop() const {
-    return time_budget.expired() ||
-           (run_ctx != nullptr && run_ctx->should_stop());
+    return run_ctx != nullptr && run_ctx->should_stop();
   }
   std::vector<lbool> model;
   solver_stats stats;
@@ -602,10 +600,6 @@ bool solver::model_value(var v) const {
 
 void solver::set_conflict_budget(std::uint64_t max_conflicts) {
   impl_->conflict_budget = max_conflicts;
-}
-
-void solver::set_time_budget(util::time_budget budget) {
-  impl_->time_budget = budget;
 }
 
 void solver::set_run_context(core::run_context* ctx) {

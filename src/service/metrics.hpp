@@ -13,6 +13,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <iomanip>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,125 +24,42 @@ namespace stpes::service {
 
 /// Atomic mirror of `core::stage_counters`: workers fold the per-run
 /// deltas in after each synthesis call, scrapers read a plain copy.
-struct atomic_stage_counters {
-  std::atomic<std::uint64_t> fences_enumerated{0};
-  std::atomic<std::uint64_t> dags_generated{0};
-  std::atomic<std::uint64_t> dags_pruned{0};
-  std::atomic<std::uint64_t> factorization_attempts{0};
-  std::atomic<std::uint64_t> factorization_prunes{0};
-  std::atomic<std::uint64_t> dont_care_expansions{0};
-  std::atomic<std::uint64_t> factor_memo_hits{0};
-  std::atomic<std::uint64_t> factor_memo_misses{0};
-  std::atomic<std::uint64_t> allsat_propagations{0};
-  std::atomic<std::uint64_t> allsat_merges{0};
-  std::atomic<std::uint64_t> sat_decisions{0};
-  std::atomic<std::uint64_t> sat_conflicts{0};
-  std::atomic<std::uint64_t> sat_restarts{0};
-  std::atomic<std::uint64_t> sweep_sim_rounds{0};
-  std::atomic<std::uint64_t> sweep_candidates{0};
-  std::atomic<std::uint64_t> sweep_proofs{0};
-  std::atomic<std::uint64_t> sweep_refutations{0};
-  std::atomic<std::uint64_t> sweep_merged_nodes{0};
-  std::atomic<std::uint64_t> probe_calls{0};
-  std::atomic<std::uint64_t> probe_unsat_levels{0};
-  std::atomic<std::uint64_t> probe_sat_levels{0};
-  std::atomic<std::uint64_t> portfolio_probe_wins{0};
-  std::atomic<std::uint64_t> portfolio_sweep_wins{0};
-  std::atomic<std::uint64_t> kernel_batch_queries{0};
-  std::atomic<std::uint64_t> kernel_batch_screened{0};
-  std::atomic<std::uint64_t> kernel_batch_survivors{0};
-
+/// Slot i mirrors `core::stage_counter_fields[i]`.
+class atomic_stage_counters {
+public:
   void add(const core::stage_counters& c) {
-    fences_enumerated.fetch_add(c.fences_enumerated,
-                                std::memory_order_relaxed);
-    dags_generated.fetch_add(c.dags_generated, std::memory_order_relaxed);
-    dags_pruned.fetch_add(c.dags_pruned, std::memory_order_relaxed);
-    factorization_attempts.fetch_add(c.factorization_attempts,
-                                     std::memory_order_relaxed);
-    factorization_prunes.fetch_add(c.factorization_prunes,
-                                   std::memory_order_relaxed);
-    dont_care_expansions.fetch_add(c.dont_care_expansions,
-                                   std::memory_order_relaxed);
-    factor_memo_hits.fetch_add(c.factor_memo_hits,
-                               std::memory_order_relaxed);
-    factor_memo_misses.fetch_add(c.factor_memo_misses,
-                                 std::memory_order_relaxed);
-    allsat_propagations.fetch_add(c.allsat_propagations,
-                                  std::memory_order_relaxed);
-    allsat_merges.fetch_add(c.allsat_merges, std::memory_order_relaxed);
-    sat_decisions.fetch_add(c.sat_decisions, std::memory_order_relaxed);
-    sat_conflicts.fetch_add(c.sat_conflicts, std::memory_order_relaxed);
-    sat_restarts.fetch_add(c.sat_restarts, std::memory_order_relaxed);
-    sweep_sim_rounds.fetch_add(c.sweep_sim_rounds,
-                               std::memory_order_relaxed);
-    sweep_candidates.fetch_add(c.sweep_candidates,
-                               std::memory_order_relaxed);
-    sweep_proofs.fetch_add(c.sweep_proofs, std::memory_order_relaxed);
-    sweep_refutations.fetch_add(c.sweep_refutations,
-                                std::memory_order_relaxed);
-    sweep_merged_nodes.fetch_add(c.sweep_merged_nodes,
-                                 std::memory_order_relaxed);
-    probe_calls.fetch_add(c.probe_calls, std::memory_order_relaxed);
-    probe_unsat_levels.fetch_add(c.probe_unsat_levels,
-                                 std::memory_order_relaxed);
-    probe_sat_levels.fetch_add(c.probe_sat_levels,
-                               std::memory_order_relaxed);
-    portfolio_probe_wins.fetch_add(c.portfolio_probe_wins,
-                                   std::memory_order_relaxed);
-    portfolio_sweep_wins.fetch_add(c.portfolio_sweep_wins,
-                                   std::memory_order_relaxed);
-    kernel_batch_queries.fetch_add(c.kernel_batch_queries,
-                                   std::memory_order_relaxed);
-    kernel_batch_screened.fetch_add(c.kernel_batch_screened,
-                                    std::memory_order_relaxed);
-    kernel_batch_survivors.fetch_add(c.kernel_batch_survivors,
-                                     std::memory_order_relaxed);
+    for (std::size_t i = 0; i < values_.size(); ++i) {
+      values_[i].fetch_add(c.*core::stage_counter_fields[i].member,
+                           std::memory_order_relaxed);
+    }
   }
 
   [[nodiscard]] core::stage_counters load() const {
     core::stage_counters c;
-    c.fences_enumerated = fences_enumerated.load(std::memory_order_relaxed);
-    c.dags_generated = dags_generated.load(std::memory_order_relaxed);
-    c.dags_pruned = dags_pruned.load(std::memory_order_relaxed);
-    c.factorization_attempts =
-        factorization_attempts.load(std::memory_order_relaxed);
-    c.factorization_prunes =
-        factorization_prunes.load(std::memory_order_relaxed);
-    c.dont_care_expansions =
-        dont_care_expansions.load(std::memory_order_relaxed);
-    c.factor_memo_hits = factor_memo_hits.load(std::memory_order_relaxed);
-    c.factor_memo_misses =
-        factor_memo_misses.load(std::memory_order_relaxed);
-    c.allsat_propagations =
-        allsat_propagations.load(std::memory_order_relaxed);
-    c.allsat_merges = allsat_merges.load(std::memory_order_relaxed);
-    c.sat_decisions = sat_decisions.load(std::memory_order_relaxed);
-    c.sat_conflicts = sat_conflicts.load(std::memory_order_relaxed);
-    c.sat_restarts = sat_restarts.load(std::memory_order_relaxed);
-    c.sweep_sim_rounds = sweep_sim_rounds.load(std::memory_order_relaxed);
-    c.sweep_candidates = sweep_candidates.load(std::memory_order_relaxed);
-    c.sweep_proofs = sweep_proofs.load(std::memory_order_relaxed);
-    c.sweep_refutations =
-        sweep_refutations.load(std::memory_order_relaxed);
-    c.sweep_merged_nodes =
-        sweep_merged_nodes.load(std::memory_order_relaxed);
-    c.probe_calls = probe_calls.load(std::memory_order_relaxed);
-    c.probe_unsat_levels =
-        probe_unsat_levels.load(std::memory_order_relaxed);
-    c.probe_sat_levels = probe_sat_levels.load(std::memory_order_relaxed);
-    c.portfolio_probe_wins =
-        portfolio_probe_wins.load(std::memory_order_relaxed);
-    c.portfolio_sweep_wins =
-        portfolio_sweep_wins.load(std::memory_order_relaxed);
-    c.kernel_batch_queries =
-        kernel_batch_queries.load(std::memory_order_relaxed);
-    c.kernel_batch_screened =
-        kernel_batch_screened.load(std::memory_order_relaxed);
-    c.kernel_batch_survivors =
-        kernel_batch_survivors.load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i < values_.size(); ++i) {
+      c.*core::stage_counter_fields[i].member =
+          values_[i].load(std::memory_order_relaxed);
+    }
     return c;
   }
+
+private:
+  std::array<std::atomic<std::uint64_t>, core::stage_counter_fields.size()>
+      values_{};
 };
+
+/// The `stage_counters` JSON object: every counter in table order, as
+/// `{"fences_enumerated":N,...}`.
+[[nodiscard]] inline std::string counters_json(const core::stage_counters& c) {
+  std::ostringstream os;
+  char sep = '{';
+  for (const auto& f : core::stage_counter_fields) {
+    os << sep << '"' << f.name << "\":" << c.*f.member;
+    sep = ',';
+  }
+  os << '}';
+  return os.str();
+}
 
 /// Histogram of latencies with power-of-two microsecond buckets: bucket i
 /// counts samples in [2^i, 2^(i+1)) µs (bucket 0 additionally catches
@@ -212,33 +130,11 @@ struct metrics_snapshot {
        << "bypassed          " << bypassed << "\n"
        << "synth_runs        " << synth_runs << "\n"
        << "synth_failures    " << synth_failures << "\n"
-       << "cancelled         " << cancelled << "\n"
-       << "fences            " << stage.fences_enumerated << "\n"
-       << "dags              " << stage.dags_generated << " (+"
-       << stage.dags_pruned << " pruned)\n"
-       << "factorizations    " << stage.factorization_attempts << " (+"
-       << stage.factorization_prunes << " pruned, "
-       << stage.dont_care_expansions << " dc expansions)\n"
-       << "factor_memo       " << stage.factor_memo_hits << " hits, "
-       << stage.factor_memo_misses << " misses\n"
-       << "allsat            " << stage.allsat_propagations
-       << " propagations, " << stage.allsat_merges << " merges\n"
-       << "sat               " << stage.sat_decisions << " decisions, "
-       << stage.sat_conflicts << " conflicts, " << stage.sat_restarts
-       << " restarts\n"
-       << "sweep             " << stage.sweep_candidates << " candidates, "
-       << stage.sweep_proofs << " proofs, " << stage.sweep_refutations
-       << " refutations, " << stage.sweep_merged_nodes << " merged, "
-       << stage.sweep_sim_rounds << " sim rounds\n"
-       << "probe             " << stage.probe_calls << " calls, "
-       << stage.probe_unsat_levels << " unsat levels, "
-       << stage.probe_sat_levels << " sat levels\n"
-       << "portfolio         " << stage.portfolio_probe_wins
-       << " probe wins, " << stage.portfolio_sweep_wins
-       << " sweep wins\n"
-       << "kernel_batch      " << stage.kernel_batch_queries
-       << " queries, " << stage.kernel_batch_screened << " screened, "
-       << stage.kernel_batch_survivors << " survivors\n";
+       << "cancelled         " << cancelled << "\n";
+    for (const auto& f : core::stage_counter_fields) {
+      os << std::left << std::setw(17) << f.name << ' ' << stage.*f.member
+         << "\n";
+    }
     if (synth_latency_count > 0) {
       os << "synth_mean_ms     "
          << 1e3 * synth_latency_total_s /
@@ -270,34 +166,8 @@ struct metrics_snapshot {
        << ",\"inflight_waits\":" << inflight_waits
        << ",\"bypassed\":" << bypassed << ",\"synth_runs\":" << synth_runs
        << ",\"synth_failures\":" << synth_failures
-       << ",\"cancelled\":" << cancelled << ",\"stage_counters\":{"
-       << "\"fences_enumerated\":" << stage.fences_enumerated
-       << ",\"dags_generated\":" << stage.dags_generated
-       << ",\"dags_pruned\":" << stage.dags_pruned
-       << ",\"factorization_attempts\":" << stage.factorization_attempts
-       << ",\"factorization_prunes\":" << stage.factorization_prunes
-       << ",\"dont_care_expansions\":" << stage.dont_care_expansions
-       << ",\"factor_memo_hits\":" << stage.factor_memo_hits
-       << ",\"factor_memo_misses\":" << stage.factor_memo_misses
-       << ",\"allsat_propagations\":" << stage.allsat_propagations
-       << ",\"allsat_merges\":" << stage.allsat_merges
-       << ",\"sat_decisions\":" << stage.sat_decisions
-       << ",\"sat_conflicts\":" << stage.sat_conflicts
-       << ",\"sat_restarts\":" << stage.sat_restarts
-       << ",\"sweep_sim_rounds\":" << stage.sweep_sim_rounds
-       << ",\"sweep_candidates\":" << stage.sweep_candidates
-       << ",\"sweep_proofs\":" << stage.sweep_proofs
-       << ",\"sweep_refutations\":" << stage.sweep_refutations
-       << ",\"sweep_merged_nodes\":" << stage.sweep_merged_nodes
-       << ",\"probe_calls\":" << stage.probe_calls
-       << ",\"probe_unsat_levels\":" << stage.probe_unsat_levels
-       << ",\"probe_sat_levels\":" << stage.probe_sat_levels
-       << ",\"portfolio_probe_wins\":" << stage.portfolio_probe_wins
-       << ",\"portfolio_sweep_wins\":" << stage.portfolio_sweep_wins
-       << ",\"kernel_batch_queries\":" << stage.kernel_batch_queries
-       << ",\"kernel_batch_screened\":" << stage.kernel_batch_screened
-       << ",\"kernel_batch_survivors\":" << stage.kernel_batch_survivors
-       << "}"
+       << ",\"cancelled\":" << cancelled << ",\"stage_counters\":"
+       << counters_json(stage)
        << ",\"synth_latency_count\":" << synth_latency_count
        << ",\"synth_latency_total_s\":" << synth_latency_total_s
        << ",\"synth_latency_buckets\":[";

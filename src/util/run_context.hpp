@@ -27,6 +27,7 @@
 
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -35,135 +36,57 @@
 
 namespace stpes::core {
 
-/// Effort counters for every stage of a synthesis run.
+/// Effort counters for every stage of a synthesis run, one named field
+/// per line of `util/stage_counters.def` (in table order).
 ///
 /// Deterministic counters (fences/DAGs/factorizations on solved
 /// instances) double as a search-space fingerprint: the bench regression
 /// gate compares them against committed baselines to catch silent drift
 /// in the enumeration or pruning logic.
 struct stage_counters {
-  // Topology enumeration (fence/).
-  std::uint64_t fences_enumerated = 0;
-  std::uint64_t dags_generated = 0;
-  std::uint64_t dags_pruned = 0;
-  // STP factorization recursion (synth/factorize, stp_synth).
-  std::uint64_t factorization_attempts = 0;
-  std::uint64_t factorization_prunes = 0;
-  std::uint64_t dont_care_expansions = 0;
-  // Factorization memo (synth/factor_memo): requirement decompositions
-  // served from cache vs. solved fresh.  Hits measure how much of the
-  // DAG-search effort is shared sub-structure.
-  std::uint64_t factor_memo_hits = 0;
-  std::uint64_t factor_memo_misses = 0;
-  // Circuit AllSAT verification (allsat/, stp/).
-  std::uint64_t allsat_propagations = 0;
-  std::uint64_t allsat_merges = 0;
-  // CDCL solver (sat/).
-  std::uint64_t sat_decisions = 0;
-  std::uint64_t sat_conflicts = 0;
-  std::uint64_t sat_restarts = 0;
-  // SAT sweeping (sweep/): simulation refinement rounds, candidate pairs
-  // tried, miter verdicts, and nodes actually merged into their class
-  // representative.  proofs + refutations <= candidates (a deadline or
-  // cancel can cut a round between the two).
-  std::uint64_t sweep_sim_rounds = 0;
-  std::uint64_t sweep_candidates = 0;
-  std::uint64_t sweep_proofs = 0;
-  std::uint64_t sweep_refutations = 0;
-  std::uint64_t sweep_merged_nodes = 0;
-  // Lower-bound probe (synth/lower_bound) and the per-level engine
-  // portfolio (stp_synth).  `probe_calls` counts CNF solver calls; the
-  // *_levels counters count levels classified by the probe; the
-  // portfolio_* counters count which engine produced the per-level
-  // verdict first (race-dependent: tolerance-gated in benches).
-  std::uint64_t probe_calls = 0;
-  std::uint64_t probe_unsat_levels = 0;
-  std::uint64_t probe_sat_levels = 0;
-  std::uint64_t portfolio_probe_wins = 0;
-  std::uint64_t portfolio_sweep_wins = 0;
-  // Batched factorization screen (synth/factor_requirement_batch):
-  // constrained requirement/split queries entering the vectorized
-  // AND-feasibility screen, queries refuted in both polarities (the
-  // per-candidate solver never runs), and queries where at least one
-  // polarity survived into the solver.  On runs that finish without a
-  // deadline cut, screened + survivors == queries.
-  std::uint64_t kernel_batch_queries = 0;
-  std::uint64_t kernel_batch_screened = 0;
-  std::uint64_t kernel_batch_survivors = 0;
+#define STPES_STAGE_COUNTER(name, gate) std::uint64_t name = 0;
+#include "util/stage_counters.def"
 
-  stage_counters& operator+=(const stage_counters& o) {
-    fences_enumerated += o.fences_enumerated;
-    dags_generated += o.dags_generated;
-    dags_pruned += o.dags_pruned;
-    factorization_attempts += o.factorization_attempts;
-    factorization_prunes += o.factorization_prunes;
-    dont_care_expansions += o.dont_care_expansions;
-    factor_memo_hits += o.factor_memo_hits;
-    factor_memo_misses += o.factor_memo_misses;
-    allsat_propagations += o.allsat_propagations;
-    allsat_merges += o.allsat_merges;
-    sat_decisions += o.sat_decisions;
-    sat_conflicts += o.sat_conflicts;
-    sat_restarts += o.sat_restarts;
-    sweep_sim_rounds += o.sweep_sim_rounds;
-    sweep_candidates += o.sweep_candidates;
-    sweep_proofs += o.sweep_proofs;
-    sweep_refutations += o.sweep_refutations;
-    sweep_merged_nodes += o.sweep_merged_nodes;
-    probe_calls += o.probe_calls;
-    probe_unsat_levels += o.probe_unsat_levels;
-    probe_sat_levels += o.probe_sat_levels;
-    portfolio_probe_wins += o.portfolio_probe_wins;
-    portfolio_sweep_wins += o.portfolio_sweep_wins;
-    kernel_batch_queries += o.kernel_batch_queries;
-    kernel_batch_screened += o.kernel_batch_screened;
-    kernel_batch_survivors += o.kernel_batch_survivors;
-    return *this;
-  }
-
-  stage_counters& operator-=(const stage_counters& o) {
-    fences_enumerated -= o.fences_enumerated;
-    dags_generated -= o.dags_generated;
-    dags_pruned -= o.dags_pruned;
-    factorization_attempts -= o.factorization_attempts;
-    factorization_prunes -= o.factorization_prunes;
-    dont_care_expansions -= o.dont_care_expansions;
-    factor_memo_hits -= o.factor_memo_hits;
-    factor_memo_misses -= o.factor_memo_misses;
-    allsat_propagations -= o.allsat_propagations;
-    allsat_merges -= o.allsat_merges;
-    sat_decisions -= o.sat_decisions;
-    sat_conflicts -= o.sat_conflicts;
-    sat_restarts -= o.sat_restarts;
-    sweep_sim_rounds -= o.sweep_sim_rounds;
-    sweep_candidates -= o.sweep_candidates;
-    sweep_proofs -= o.sweep_proofs;
-    sweep_refutations -= o.sweep_refutations;
-    sweep_merged_nodes -= o.sweep_merged_nodes;
-    probe_calls -= o.probe_calls;
-    probe_unsat_levels -= o.probe_unsat_levels;
-    probe_sat_levels -= o.probe_sat_levels;
-    portfolio_probe_wins -= o.portfolio_probe_wins;
-    portfolio_sweep_wins -= o.portfolio_sweep_wins;
-    kernel_batch_queries -= o.kernel_batch_queries;
-    kernel_batch_screened -= o.kernel_batch_screened;
-    kernel_batch_survivors -= o.kernel_batch_survivors;
-    return *this;
-  }
-
-  [[nodiscard]] std::uint64_t total() const {
-    return fences_enumerated + dags_generated + dags_pruned +
-           factorization_attempts + factorization_prunes +
-           dont_care_expansions + factor_memo_hits + factor_memo_misses +
-           allsat_propagations + allsat_merges + sat_decisions +
-           sat_conflicts + sat_restarts + sweep_sim_rounds +
-           sweep_candidates + sweep_proofs + sweep_refutations +
-           sweep_merged_nodes + probe_calls + probe_unsat_levels +
-           probe_sat_levels + portfolio_probe_wins + portfolio_sweep_wins +
-           kernel_batch_queries + kernel_batch_screened +
-           kernel_batch_survivors;
-  }
+  stage_counters& operator+=(const stage_counters& o);
+  stage_counters& operator-=(const stage_counters& o);
+  [[nodiscard]] std::uint64_t total() const;
 };
+
+/// One row of the counter table: the field's name and its member pointer.
+struct stage_counter_field {
+  const char* name;
+  std::uint64_t stage_counters::*member;
+};
+
+/// Every `stage_counters` field in table order; code that handles the
+/// counters as a set loops over this instead of naming them.
+inline constexpr std::array stage_counter_fields = {
+#define STPES_STAGE_COUNTER(name, gate) \
+  stage_counter_field{#name, &stage_counters::name},
+#include "util/stage_counters.def"
+};
+
+inline stage_counters& stage_counters::operator+=(const stage_counters& o) {
+  for (const auto& f : stage_counter_fields) {
+    this->*f.member += o.*f.member;
+  }
+  return *this;
+}
+
+inline stage_counters& stage_counters::operator-=(const stage_counters& o) {
+  for (const auto& f : stage_counter_fields) {
+    this->*f.member -= o.*f.member;
+  }
+  return *this;
+}
+
+inline std::uint64_t stage_counters::total() const {
+  std::uint64_t sum = 0;
+  for (const auto& f : stage_counter_fields) {
+    sum += this->*f.member;
+  }
+  return sum;
+}
 
 inline stage_counters operator+(stage_counters a, const stage_counters& b) {
   a += b;
@@ -186,9 +109,6 @@ public:
 
   /// Deadline of `seconds` from now; non-positive means unlimited.
   explicit run_context(double seconds) : budget_(seconds) {}
-
-  /// Adopts an existing `time_budget` deadline (deprecation shim path).
-  explicit run_context(util::time_budget budget) : budget_(budget) {}
 
   /// A worker-local child context: inherits the parent's deadline and
   /// observes the parent's cancel flag (transitively, so a cancel anywhere

@@ -1,15 +1,13 @@
 /// \file stopwatch.hpp
 /// \brief Wall-clock measurement and cooperative time budgets.
 ///
-/// `time_budget` is retained as a **deprecation shim**: new code should
-/// share one `core::run_context` (see `util/run_context.hpp`) per
-/// synthesis run instead of passing by-value deadline copies.  The shim
-/// remains because (a) `run_context` wraps it for its deadline half and
-/// (b) serialized cache metadata and a few leaf utilities still speak in
-/// plain budgets.  Engines poll the run context at coarse-grained decision
-/// points (per DAG candidate, per SAT conflict stride, ...) so that the
-/// Table-I "#t/o" column can be reproduced with a configurable deadline
-/// instead of the paper's fixed 3 minutes.
+/// `time_budget` is the deadline half of `core::run_context` (see
+/// `util/run_context.hpp`); layers share one run context per synthesis
+/// run rather than holding budgets of their own.  Engines poll the run
+/// context at coarse-grained decision points (per DAG candidate, per SAT
+/// conflict stride, ...) so that the Table-I "#t/o" column can be
+/// reproduced with a configurable deadline instead of the paper's fixed
+/// 3 minutes.
 
 #pragma once
 

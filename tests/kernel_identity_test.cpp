@@ -25,6 +25,7 @@
 
 namespace {
 
+using stpes::core::stage_counter_fields;
 using stpes::core::stage_counters;
 using stpes::synth::result;
 using stpes::synth::spec;
@@ -72,28 +73,9 @@ result run_under_tier(const spec& s, kernel_tier tier,
 
 void expect_same_counters(const stage_counters& a, const stage_counters& b,
                           const char* tier) {
-#define STPES_EXPECT_COUNTER_EQ(field) \
-  EXPECT_EQ(a.field, b.field) << tier << " vs scalar: " #field
-  STPES_EXPECT_COUNTER_EQ(fences_enumerated);
-  STPES_EXPECT_COUNTER_EQ(dags_generated);
-  STPES_EXPECT_COUNTER_EQ(dags_pruned);
-  STPES_EXPECT_COUNTER_EQ(factorization_attempts);
-  STPES_EXPECT_COUNTER_EQ(factorization_prunes);
-  STPES_EXPECT_COUNTER_EQ(dont_care_expansions);
-  STPES_EXPECT_COUNTER_EQ(factor_memo_hits);
-  STPES_EXPECT_COUNTER_EQ(factor_memo_misses);
-  STPES_EXPECT_COUNTER_EQ(allsat_propagations);
-  STPES_EXPECT_COUNTER_EQ(allsat_merges);
-  STPES_EXPECT_COUNTER_EQ(sat_decisions);
-  STPES_EXPECT_COUNTER_EQ(sat_conflicts);
-  STPES_EXPECT_COUNTER_EQ(sat_restarts);
-  STPES_EXPECT_COUNTER_EQ(probe_calls);
-  STPES_EXPECT_COUNTER_EQ(probe_unsat_levels);
-  STPES_EXPECT_COUNTER_EQ(probe_sat_levels);
-  STPES_EXPECT_COUNTER_EQ(kernel_batch_queries);
-  STPES_EXPECT_COUNTER_EQ(kernel_batch_screened);
-  STPES_EXPECT_COUNTER_EQ(kernel_batch_survivors);
-#undef STPES_EXPECT_COUNTER_EQ
+  for (const auto& f : stage_counter_fields) {
+    EXPECT_EQ(a.*f.member, b.*f.member) << tier << " vs scalar: " << f.name;
+  }
 }
 
 void expect_bit_identical(const spec& s, const std::string& label,

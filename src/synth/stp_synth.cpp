@@ -1,16 +1,14 @@
 #include "synth/stp_synth.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <condition_variable>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "allsat/circuit_allsat.hpp"
 #include "fence/dag.hpp"
@@ -104,6 +102,9 @@ struct search_context {
   /// clobbering, and kept across DAGs so the innermost enumeration never
   /// touches the allocator once the capacities warm up.
   std::vector<std::vector<cone_split>> split_scratch;
+  /// Per-DAG-position buffer for the packed lists of misses the memo cap
+  /// kept out of the memo; indexed and kept like `split_scratch`.
+  std::vector<std::vector<std::uint64_t>> overflow_scratch;
   bool stop = false;  // cancelled, deadline expired, or solution cap hit
   std::uint64_t ticks = 0;
 
@@ -132,59 +133,66 @@ struct search_context {
   /// partition enumeration, so probing everything before solving leaves
   /// the hit/miss totals exactly what the split-at-a-time path counted.
   ///
-  /// `resolved[i]` points at the list for `splits[i]`, owned either by a
-  /// memo or by `keepalive[i]` (when the memo cap stopped the insert);
-  /// both outlive the caller's use of the chunk.  Everything else is
-  /// stack-buffered: this runs on the innermost enumeration path, once
-  /// per chunk, and must not touch the allocator when every split hits.
-  void factor_batch(
-      const requirement& r, const cone_split* splits, std::size_t count,
-      std::array<const std::vector<factorization>*, kFactorChunk>& resolved,
-      std::array<std::shared_ptr<const std::vector<factorization>>,
-                 kFactorChunk>& keepalive) {
+  /// `resolved[i]` views the packed list for `splits[i]`, stored either in
+  /// a memo or, when the memo cap stopped the insert, in the caller's
+  /// per-frame `overflow` buffer; both outlive the caller's use of the
+  /// chunk.  Everything else is stack-buffered: this runs on the innermost
+  /// enumeration path, once per chunk, and must not touch the allocator
+  /// when every split hits.
+  void factor_batch(const requirement& r, const cone_split* splits,
+                    std::size_t count,
+                    std::array<branch_list, kFactorChunk>& resolved,
+                    std::vector<std::uint64_t>& overflow) {
     assert(count <= kFactorChunk);
-    std::array<factor_key, kFactorChunk> miss_keys;
     std::array<cone_split, kFactorChunk> miss_splits;
     std::array<std::size_t, kFactorChunk> miss_of;
     std::size_t misses = 0;
     for (std::size_t i = 0; i < count; ++i) {
-      factor_key key{r.cone, splits[i].a, splits[i].b, r.func.onset(),
-                     r.func.careset()};
-      if (const auto* hit = shared_memo.find(key)) {
-        ++rc.counters.factor_memo_hits;
-        resolved[i] = hit->get();
-        continue;
+      auto hit = shared_memo.find(r, splits[i]);
+      if (!hit) {
+        hit = local_memo.find(r, splits[i]);
       }
-      if (const auto* hit = local_memo.find(key)) {
+      if (hit) {
         ++rc.counters.factor_memo_hits;
-        resolved[i] = hit->get();
+        resolved[i] = *hit;
         continue;
       }
       ++rc.counters.factor_memo_misses;
       miss_of[misses] = i;
-      miss_keys[misses] = std::move(key);
       miss_splits[misses] = splits[i];
       ++misses;
     }
     if (misses == 0) {
       return;
     }
-    auto solved = factor_requirement_batch(r, miss_splits.data(), misses,
-                                           options.factor, &rc);
+    const auto solved = factor_requirement_batch(r, miss_splits.data(), misses,
+                                                 options.factor, &rc);
+    // Offsets into `overflow` of the capped misses; views are taken only
+    // once packing is done, since appending may move the buffer.
+    constexpr std::size_t kInMemo = ~std::size_t{0};
+    std::array<std::size_t, kFactorChunk> overflow_at;
+    overflow.clear();
     for (std::size_t j = 0; j < misses; ++j) {
-      auto result = std::make_shared<const std::vector<factorization>>(
-          std::move(solved[j]));
-      stats.factorizations += result->size();
-      resolved[miss_of[j]] = result.get();
+      stats.factorizations += solved[j].size();
       // The cap is checked against the level-start snapshot plus this
       // task's own delta — both thread-count independent, so capped runs
       // stay deterministic.
       if (options.factor_memo_cap == 0 ||
           shared_memo.size() + local_memo.size() <
               options.factor_memo_cap) {
-        local_memo.insert(std::move(miss_keys[j]), result);
+        resolved[miss_of[j]] = local_memo.insert(r, miss_splits[j], solved[j]);
+        overflow_at[j] = kInMemo;
+      } else {
+        overflow_at[j] = overflow.size();
+        pack_branches(solved[j], overflow);
       }
-      keepalive[miss_of[j]] = std::move(result);
+    }
+    const std::size_t w = packed_table_words(num_vars);
+    for (std::size_t j = 0; j < misses; ++j) {
+      if (overflow_at[j] != kInMemo) {
+        const std::uint64_t* words = overflow.data() + overflow_at[j];
+        resolved[miss_of[j]] = branch_list{words, solved[j].size(), w};
+      }
     }
   }
 };
@@ -202,6 +210,7 @@ public:
     // references across its recursion; capacities persist between DAGs.
     if (ctx_.split_scratch.size() < dag.gates.size()) {
       ctx_.split_scratch.resize(dag.gates.size());
+      ctx_.overflow_scratch.resize(dag.gates.size());
     }
     // A cone of g gates depends on at most g + 1 distinct variables.
     for (std::size_t i = 0; i < capacity_.size(); ++i) {
@@ -532,12 +541,9 @@ private:
         return;
       }
       const std::size_t end = std::min(base + kFactorChunk, splits.size());
-      std::array<const std::vector<factorization>*, kFactorChunk> resolved;
-      std::array<std::shared_ptr<const std::vector<factorization>>,
-                 kFactorChunk>
-          keepalive;
+      std::array<branch_list, kFactorChunk> resolved;
       ctx_.factor_batch(req, splits.data() + base, end - base, resolved,
-                        keepalive);
+                        ctx_.overflow_scratch[pos]);
       for (std::size_t i = base; i < end; ++i) {
         // Poll here as well as in descend(): one descend can enumerate
         // tens of thousands of splits on wide cones, and each resolved
@@ -547,7 +553,7 @@ private:
         if (ctx_.stop) {
           return;
         }
-        try_split(pos, g, child_a, child_b, *resolved[i - base]);
+        try_split(pos, g, child_a, child_b, resolved[i - base]);
       }
     }
   }
@@ -565,9 +571,9 @@ private:
 
   /// Recurses into every factorization of one already-resolved split.
   void try_split(std::size_t pos, int g, int child_a, int child_b,
-                 const std::vector<factorization>& factorizations) {
+                 const branch_list& list) {
     const auto slot_ids = slots_.of_gate[static_cast<std::size_t>(g)];
-    for (const auto& f : factorizations) {
+    for (std::size_t f = 0; f < list.size(); ++f) {
       if (ctx_.stop) {
         return;
       }
@@ -575,40 +581,41 @@ private:
       auto& gate = gates_[static_cast<std::size_t>(g)];
       const gate_state saved_gate = gate;
       gate.decomposed = true;
-      gate.family = f.family;
-      gate.complemented = f.output_complemented;
+      gate.family = list.family(f);
+      gate.complemented = list.output_complemented(f);
 
-      apply_child(g, 0, child_a, slot_ids[0], f.left, [&](bool ok_left) {
+      apply_child(g, 0, child_a, slot_ids[0], list, f, [&](bool ok_left) {
         if (!ok_left) {
           return;
         }
-        apply_child(g, 1, child_b, slot_ids[1], f.right,
-                    [&](bool ok_right) {
-                      if (ok_right) {
-                        descend(pos + 1);
-                      }
-                    });
+        apply_child(g, 1, child_b, slot_ids[1], list, f, [&](bool ok_right) {
+          if (ok_right) {
+            descend(pos + 1);
+          }
+        });
       });
       gate = saved_gate;
     }
   }
 
-  /// Applies a child requirement (branching over slot polarities when the
-  /// child is a PI slot) and invokes `k(true)` for every viable variant;
-  /// state changes are rolled back before returning.
+  /// Applies the child requirement at fanin `pos` of branch `f` of `list`
+  /// (branching over slot polarities when the child is a PI slot) and
+  /// invokes `k(true)` for every viable variant; state changes are rolled
+  /// back before returning.
   template <typename K>
   void apply_child(int g, int pos, int child, int slot_id,
-                   const requirement& child_req, K&& k) {
+                   const branch_list& list, std::size_t f, K&& k) {
+    const std::uint32_t cone = list.cone(f, pos);
+    tt::isf incoming = list.func(f, pos, ctx_.num_vars);
     if (child == kPiSlot) {
       // The cone is a single variable; try both literal polarities.
-      const std::uint32_t cone = child_req.cone;
       assert(std::popcount(cone) == 1);
       const unsigned v = static_cast<unsigned>(std::countr_zero(cone));
       const auto positive = tt::truth_table::nth_var(ctx_.num_vars, v);
       auto& slot = slot_states_[static_cast<std::size_t>(slot_id)];
       const slot_state saved = slot;
       bool any = false;
-      if (child_req.func.accepts(positive)) {
+      if (incoming.accepts(positive)) {
         slot = slot_state{static_cast<int>(v), false};
         any = true;
         k(true);
@@ -617,7 +624,7 @@ private:
         slot = saved;
         return;
       }
-      if (child_req.func.accepts(~positive)) {
+      if (incoming.accepts(~positive)) {
         slot = slot_state{static_cast<int>(v), true};
         any = true;
         k(true);
@@ -633,7 +640,6 @@ private:
     const gate_state saved = st;
     const bool saved_neg = parent.child_negated[static_cast<std::size_t>(pos)];
 
-    tt::isf incoming = child_req.func;
     if (ctx_.options.normalize_polarity) {
       // Canonical polarity: the child signal must be normal (0 on the
       // all-zeros row).  If the requirement forces a 1 there, demand the
@@ -652,7 +658,7 @@ private:
     }
 
     if (st.has_requirement) {
-      assert(st.req.cone == child_req.cone);
+      assert(st.req.cone == cone);
       const auto merged = st.req.func.intersect(incoming);
       if (!merged) {
         parent.child_negated[static_cast<std::size_t>(pos)] = saved_neg;
@@ -662,7 +668,7 @@ private:
       st.req.func = *merged;
     } else {
       st.has_requirement = true;
-      st.req = requirement{child_req.cone, incoming};
+      st.req = requirement{cone, std::move(incoming)};
     }
     st.req_hash = st.req.cone * 0x9E3779B97F4A7C15ull + st.req.func.hash();
     k(true);
@@ -925,7 +931,7 @@ std::vector<chain::boolean_chain> run_level(
                        num_vars,       multi,            task_rc,
                        out.stats,      memo,             out.memo_delta,
                        failed,         out.failed_delta, {},
-                       {},             {}};
+                       {},             {},               {}};
     const std::size_t begin = task_idx * kLevelChunk;
     const std::size_t end = std::min(begin + kLevelChunk, dags.size());
     for (std::size_t i = begin; i < end && !ctx.stop; ++i) {
@@ -990,25 +996,18 @@ std::vector<chain::boolean_chain> run_level(
   return merged;
 }
 
-/// Materializes the candidate DAGs of one gate count, honouring the
-/// per-size cap with the same accounting as the sequential sweep.
+/// Materializes the candidate DAGs of one gate count.
 std::vector<dag_topology> materialize_level_dags(
-    const stp_options& options, const fence::dag_options& dag_opts,
+    const fence::dag_options& dag_opts,
     const std::vector<fence::fence>& fences, core::run_context& rc,
     stp_stats& stats) {
   std::vector<dag_topology> level_dags;
-  std::size_t dag_count = 0;
   for (const auto& fc : fences) {
     if (rc.should_stop()) {
       break;
     }
     for (auto& dag : fence::generate_dags(fc, dag_opts, &rc)) {
       ++stats.dags;
-      ++dag_count;
-      if (options.max_dags_per_size != 0 &&
-          dag_count > options.max_dags_per_size) {
-        break;
-      }
       level_dags.push_back(std::move(dag));
     }
   }
@@ -1021,9 +1020,7 @@ std::vector<dag_topology> materialize_level_dags(
   // level — unchanged.  The order is still a fixed permutation of the
   // generation order, so chunking and the merged results stay
   // deterministic and thread-count independent.
-  if (options.reverse_dag_sweep) {
-    std::reverse(level_dags.begin(), level_dags.end());
-  }
+  std::reverse(level_dags.begin(), level_dags.end());
   return level_dags;
 }
 
@@ -1133,7 +1130,6 @@ void run_size_sweep(const stp_options& options, const tt::isf& target,
       multi != nullptr ? static_cast<unsigned>(multi->size()) : 1;
   fence::dag_options dag_opts;
   dag_opts.allow_shared_gates = options.allow_shared_gates;
-  dag_opts.limit = options.max_dags_per_size;
   dag_opts.max_outputs = max_outputs;
 
   // The factorization memo and the failure memo are sound across gate
@@ -1172,7 +1168,7 @@ void run_size_sweep(const stp_options& options, const tt::isf& target,
             : fence::all_fences(gates, &rc);
     stats.fences += fences.size();
     const auto level_dags =
-        materialize_level_dags(options, dag_opts, fences, rc, stats);
+        materialize_level_dags(dag_opts, fences, rc, stats);
     auto solutions =
         options.engine == stp_level_engine::portfolio && pool != nullptr
             ? run_portfolio_level(options, prober, target, root_cone,

@@ -71,17 +71,6 @@ struct stp_options {
   bool normalize_polarity = true;
   /// Stop after this many optimum chains (0 = enumerate all).
   std::size_t max_solutions = 0;
-  /// Sweep each gate count's candidate DAGs in *reverse* generation
-  /// order.  The fence enumerator emits narrow, deep topologies first;
-  /// on hard instances the realizable shapes concentrate at the end, so
-  /// the reverse sweep finds first optimum chains orders of magnitude
-  /// sooner (sub-second instead of 20s+ on the hard NPN4 classes) under
-  /// a wall-clock budget.  The swept set, and thus the complete solution
-  /// set of a finished level, is identical either way; off = generation
-  /// order (ablation).
-  bool reverse_dag_sweep = true;
-  /// Cap on DAG topologies per gate count (0 = unlimited).
-  std::size_t max_dags_per_size = 0;
   /// Worker threads for the intra-instance DAG sweep: candidate DAGs of
   /// the current gate count are fanned out in fixed contiguous chunks.
   /// 1 = sequential (default), 0 = one per hardware thread.  The solution
@@ -91,8 +80,11 @@ struct stp_options {
   unsigned num_threads = 1;
   /// Entry cap of the per-run factorization memo (0 = unlimited).  Hard
   /// 6-input instances otherwise grow the memo into millions of entries
-  /// (gigabytes, plus seconds of merge/teardown past the deadline); the
-  /// cap bounds memory while keeping the hit rate of the small, hot keys.
+  /// (about 285 bytes each at n <= 6, measured on NPN4 class 0x0180:
+  /// 32 bytes of key, 40 per stored branch, and the index slot — so the
+  /// default cap bounds the memo near 150 MB), plus merge time past the
+  /// deadline; the cap bounds memory while keeping the hit rate of the
+  /// small, hot keys.
   /// Applied deterministically, so capped runs stay thread-count
   /// independent.
   std::size_t factor_memo_cap = 1u << 19;

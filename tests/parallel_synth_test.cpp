@@ -6,9 +6,9 @@
 /// optimum-chain set — order included — and, with `max_solutions == 0`,
 /// every effort counter must be bit-identical at any thread count.  These
 /// tests pin that contract for 1 vs 2 vs 8 threads across a spread of
-/// NPN4 classes and a 5-input function whose search spans several chunks.
-/// They are also the tests the CI TSan job runs to prove the sweep is
-/// data-race-free.
+/// NPN4 classes and a 5-input function whose search spans several chunks,
+/// and for 1 vs 4 threads with both memo caps binding.  They are also the
+/// tests the CI TSan job runs to prove the sweep is data-race-free.
 ///
 /// The hardest NPN4 classes burn minutes even on the improved engine, so
 /// each class first runs sequentially under a short budget and is skipped
@@ -141,6 +141,47 @@ TEST(ParallelSynth, SixInputFunctionMatchesAcrossThreadCounts) {
       const result r = run_with_threads(f, threads, 240.0);
       expect_identical(base, r, threads, "fdsd6[" + std::to_string(i) + "]");
     }
+  }
+}
+
+TEST(ParallelSynth, CappedMemosKeepChainsAndStayThreadCountIndependent) {
+  // 0x0180 is the costliest class of the perfbench NPN4 pool; its
+  // factorization memo grows to about 65 k entries, so both caps bind,
+  // misses past the cap are served from the per-frame overflow buffer,
+  // and the second task's delta meets a full memo at the merge.
+  const auto f = truth_table::from_hex(4, "0x0180");
+  const auto solve = [&](unsigned threads, bool capped) {
+    stp_options options;
+    options.num_threads = threads;
+    if (capped) {
+      options.factor_memo_cap = 256;
+      options.failed_memo_cap = 1024;
+    }
+    stp_engine engine{options};
+    run_context ctx{600.0};
+    spec s;
+    s.function = f;
+    s.ctx = &ctx;
+    return engine.run(s);
+  };
+  const result reference = solve(1, false);
+  ASSERT_EQ(reference.outcome, status::success);
+  ASSERT_TRUE(reference.enumeration_complete);
+  ASSERT_FALSE(reference.chains.empty());
+
+  const result capped = solve(1, true);
+  ASSERT_EQ(capped.outcome, status::success);
+  ASSERT_TRUE(capped.enumeration_complete);
+  EXPECT_EQ(chain_strings(reference), chain_strings(capped));
+  EXPECT_GT(capped.counters.factor_memo_misses,
+            reference.counters.factor_memo_misses);
+
+  const result capped4 = solve(4, true);
+  ASSERT_EQ(capped4.outcome, status::success);
+  EXPECT_EQ(chain_strings(capped), chain_strings(capped4));
+  for (const auto& field : stpes::core::stage_counter_fields) {
+    EXPECT_EQ(capped.counters.*field.member, capped4.counters.*field.member)
+        << field.name;
   }
 }
 

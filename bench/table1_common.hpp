@@ -30,7 +30,7 @@ struct table1_options {
   bool full = false;           ///< paper-scale run
   std::uint64_t seed = 1;      ///< generator seed (printed for provenance)
   /// Worker threads for the STP engine's intra-instance DAG sweep
-  /// (`--threads=N`; 0 keeps the engine default of 1).  The solution set
+  /// (`--threads=N`; 0 or 1 = sequential).  The solution set
   /// and the deterministic counters are thread-count independent, so the
   /// flag only moves wall clock.
   unsigned threads = 0;

@@ -95,14 +95,13 @@ struct generator {
   std::vector<unsigned> level_first;  // first gate index of each level
   mutable std::uint64_t ticks = 0;
 
-  bool limit_reached() const {
+  bool should_stop() const {
     // A cancel is an atomic load (cheap, polled every call); the deadline
     // needs a clock read, so it is polled at a stride.  Without the stride
     // poll a single large fence can overrun the budget by seconds.
-    return (options.limit != 0 && out.size() >= options.limit) ||
-           (ctx != nullptr &&
-            (ctx->cancel_requested() ||
-             ((++ticks & 0x3FF) == 0 && ctx->deadline_expired())));
+    return ctx != nullptr &&
+           (ctx->cancel_requested() ||
+            ((++ticks & 0x3FF) == 0 && ctx->deadline_expired()));
   }
 
   void pruned() const {
@@ -147,7 +146,7 @@ struct generator {
 
   /// Enumerate fanins for gate `g`; gates are processed in index order.
   void assign(unsigned g) {
-    if (limit_reached()) {
+    if (should_stop()) {
       return;
     }
     if (g == current.num_gates()) {
@@ -182,7 +181,7 @@ struct generator {
         }
         current.gates[g].fanin = fanin;
         assign(g + 1);
-        if (limit_reached()) {
+        if (should_stop()) {
           return;
         }
       }
@@ -227,10 +226,6 @@ std::vector<dag_topology> generate_dags_for_size(unsigned num_gates,
     auto dags = generate_dags(f, options);
     out.insert(out.end(), std::make_move_iterator(dags.begin()),
                std::make_move_iterator(dags.end()));
-    if (options.limit != 0 && out.size() >= options.limit) {
-      out.resize(options.limit);
-      break;
-    }
   }
   return out;
 }

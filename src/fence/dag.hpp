@@ -71,8 +71,6 @@ struct dag_options {
   /// Allow a gate to feed more than one higher gate.  When false only
   /// fanout-free (tree) topologies are produced.
   bool allow_shared_gates = true;
-  /// Hard cap on the number of topologies generated (0 = unlimited).
-  std::size_t limit = 0;
   /// Number of chain outputs the topologies may serve: up to this many
   /// gates may be fanout-free (each such gate must later be bound to an
   /// output).  1 reproduces the classic single-root family.

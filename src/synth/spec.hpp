@@ -49,8 +49,9 @@ struct spec {
   /// Upper bound on chain size before giving up as unrealizable.
   unsigned max_gates = 24;
   /// Worker threads for engines with an intra-instance parallel search
-  /// (currently the STP DAG sweep): 0 = keep the engine's configured
-  /// default, 1 = force sequential, N = fan out over N workers.
+  /// (currently the STP DAG sweep): 0 or 1 = sequential, N = fan out over
+  /// N workers.  The STP solution set is bit-identical at any thread
+  /// count; with `stp_options::max_solutions == 0` the counters are too.
   unsigned num_threads = 0;
 };
 

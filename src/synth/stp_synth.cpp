@@ -8,7 +8,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 
 #include "allsat/circuit_allsat.hpp"
 #include "fence/dag.hpp"
@@ -82,7 +81,6 @@ struct search_context {
   /// seeded from one of these functions instead.
   const std::vector<tt::truth_table>* multi;
   core::run_context& rc;  // this task's deadline / cancel flag / counters
-  stp_stats& stats;
 
   /// Two-level factorization memo: `shared_memo` holds everything learned
   /// before this level started (immutable while tasks run), `local_memo`
@@ -107,6 +105,7 @@ struct search_context {
   std::vector<std::vector<std::uint64_t>> overflow_scratch;
   bool stop = false;  // cancelled, deadline expired, or solution cap hit
   std::uint64_t ticks = 0;
+  std::uint64_t candidates = 0;  // complete chains assembled
 
   void tick() {
     if ((++ticks & 0x3FF) == 0 && rc.should_stop()) {
@@ -173,7 +172,6 @@ struct search_context {
     std::array<std::size_t, kFactorChunk> overflow_at;
     overflow.clear();
     for (std::size_t j = 0; j < misses; ++j) {
-      stats.factorizations += solved[j].size();
       // The cap is checked against the level-start snapshot plus this
       // task's own delta — both thread-count independent, so capped runs
       // stay deterministic.
@@ -449,14 +447,14 @@ private:
     }
     // Memoize only *structural* failures (no complete candidate assembled):
     // duplicate-solution bookkeeping must not poison the cache.
-    const std::uint64_t candidates_before = ctx_.stats.candidates;
+    const std::uint64_t candidates_before = ctx_.candidates;
     const int g = order_[pos];
     auto& state = gates_[static_cast<std::size_t>(g)];
     assert(state.has_requirement);  // fanout >= 1 guarantees a parent set it
     const auto& topo_gate = dag_.gates[static_cast<std::size_t>(g)];
     enumerate_partitions(pos, g, topo_gate.fanin[0], topo_gate.fanin[1],
                          state.req);
-    if (ctx_.stats.candidates == candidates_before && !ctx_.stop) {
+    if (ctx_.candidates == candidates_before && !ctx_.stop) {
       ctx_.record_failed(key);
     }
   }
@@ -511,7 +509,6 @@ private:
         if (symmetric_children_[static_cast<std::size_t>(g)] && a > b) {
           return;  // mirrored split of identical subtrees
         }
-        ++ctx_.stats.partitions_tried;
         splits.push_back(cone_split{a, b});
         return;
       }
@@ -679,7 +676,7 @@ private:
   /// All gates decomposed: build the concrete chain, verify it with the
   /// circuit AllSAT solver + simulation, and record it.
   void emit() {
-    ++ctx_.stats.candidates;
+    ++ctx_.candidates;
     chain::boolean_chain candidate{ctx_.num_vars};
     std::vector<std::uint32_t> signal_of_gate(dag_.gates.size());
     for (std::size_t g = 0; g < dag_.gates.size(); ++g) {
@@ -735,7 +732,6 @@ private:
                                       allsat_result.solutions) != realized) {
       return;
     }
-    ++ctx_.stats.verified;
     ctx_.solutions.push_back(std::move(candidate));
     if (ctx_.options.max_solutions != 0 &&
         ctx_.solutions.size() >= ctx_.options.max_solutions) {
@@ -801,7 +797,6 @@ private:
             ctx_.num_vars, allsat_result.solutions) != conjunction) {
       return;
     }
-    ++ctx_.stats.verified;
     ctx_.solutions.push_back(std::move(candidate));
     if (ctx_.options.max_solutions != 0 &&
         ctx_.solutions.size() >= ctx_.options.max_solutions) {
@@ -839,7 +834,6 @@ constexpr std::size_t kLevelChunk = 64;
 /// One worker task's private output, merged in task order after the join.
 struct task_output {
   std::vector<chain::boolean_chain> solutions;
-  stp_stats stats;
   core::stage_counters counters;
   factor_memo memo_delta;
   util::flat_set64 failed_delta;
@@ -849,15 +843,6 @@ struct task_output {
   // refuted — unsound to carry into later levels.
   bool tainted = false;
 };
-
-void accumulate(stp_stats& into, const stp_stats& from) {
-  into.fences += from.fences;
-  into.dags += from.dags;
-  into.partitions_tried += from.partitions_tried;
-  into.factorizations += from.factorizations;
-  into.candidates += from.candidates;
-  into.verified += from.verified;
-}
 
 /// Runs one gate-count level over the materialized candidate DAGs, fanning
 /// fixed contiguous chunks across `pool` (or inline when null).
@@ -873,8 +858,7 @@ std::vector<chain::boolean_chain> run_level(
     const stp_options& options, const tt::isf& target, std::uint32_t root_cone,
     unsigned num_vars, const std::vector<tt::truth_table>* multi,
     const std::vector<dag_topology>& dags, core::run_context& rc,
-    stp_stats& stats, factor_memo& memo,
-    util::flat_set64& failed, service::thread_pool* pool) {
+    factor_memo& memo, util::flat_set64& failed, service::thread_pool* pool) {
   const std::size_t num_tasks = (dags.size() + kLevelChunk - 1) / kLevelChunk;
   std::vector<task_output> outputs(num_tasks);
   // Level-local cancel hub: a child of `rc`, so external cancels and the
@@ -911,27 +895,33 @@ std::vector<chain::boolean_chain> run_level(
     }
   };
 
+  // Marks a task done and commits the ready prefix.  Notify under the
+  // lock: the waiter below owns this cv's stack frame and destroys it as
+  // soon as the predicate holds, so an unlocked notify could race the
+  // destructor.
+  const auto finish_task = [&](std::size_t task_idx) {
+    const std::lock_guard<std::mutex> lock(commit_mutex);
+    task_done[task_idx] = 1;
+    commit_ready();
+    ++tasks_finished;
+    tasks_cv.notify_all();
+  };
+
   const auto run_task = [&](std::size_t task_idx) {
     task_output& out = outputs[task_idx];
     if (level_rc.should_stop()) {
       // Cap hit, external cancel, or deadline: skip the chunk entirely so
       // the level winds down without paying a tick stride per task.  The
       // slot still commits (empty) to keep the in-order merge moving.
-      {
-        const std::lock_guard<std::mutex> lock(commit_mutex);
-        task_done[task_idx] = 1;
-        commit_ready();
-        ++tasks_finished;
-      }
-      tasks_cv.notify_all();
+      finish_task(task_idx);
       return;
     }
     core::run_context task_rc(&level_rc);
-    search_context ctx{options,        target,           root_cone,
-                       num_vars,       multi,            task_rc,
-                       out.stats,      memo,             out.memo_delta,
-                       failed,         out.failed_delta, {},
-                       {},             {},               {}};
+    search_context ctx{options,  target,         root_cone,
+                       num_vars, multi,          task_rc,
+                       memo,     out.memo_delta, failed,
+                       out.failed_delta,         {},
+                       {},       {},             {}};
     const std::size_t begin = task_idx * kLevelChunk;
     const std::size_t end = std::min(begin + kLevelChunk, dags.size());
     for (std::size_t i = begin; i < end && !ctx.stop; ++i) {
@@ -941,13 +931,7 @@ std::vector<chain::boolean_chain> run_level(
     out.solutions = std::move(ctx.solutions);
     out.counters = task_rc.counters;
     out.tainted = task_rc.should_stop();
-    {
-      const std::lock_guard<std::mutex> lock(commit_mutex);
-      task_done[task_idx] = 1;
-      commit_ready();
-      ++tasks_finished;
-    }
-    tasks_cv.notify_all();
+    finish_task(task_idx);
   };
 
   if (pool == nullptr) {
@@ -972,10 +956,9 @@ std::vector<chain::boolean_chain> run_level(
     tasks_cv.wait(lock, [&] { return tasks_finished == num_tasks; });
   }
 
-  // Fold the private deltas back in task order: stats and counters become
+  // Fold the private deltas back in task order: counters become
   // thread-count independent, and the memos carry over to the next level.
   for (auto& out : outputs) {
-    accumulate(stats, out.stats);
     rc.counters += out.counters;
     if (out.tainted) {
       continue;  // cancelled mid-chunk: deltas may be truncated, drop them
@@ -999,15 +982,13 @@ std::vector<chain::boolean_chain> run_level(
 /// Materializes the candidate DAGs of one gate count.
 std::vector<dag_topology> materialize_level_dags(
     const fence::dag_options& dag_opts,
-    const std::vector<fence::fence>& fences, core::run_context& rc,
-    stp_stats& stats) {
+    const std::vector<fence::fence>& fences, core::run_context& rc) {
   std::vector<dag_topology> level_dags;
   for (const auto& fc : fences) {
     if (rc.should_stop()) {
       break;
     }
     for (auto& dag : fence::generate_dags(fc, dag_opts, &rc)) {
-      ++stats.dags;
       level_dags.push_back(std::move(dag));
     }
   }
@@ -1022,16 +1003,6 @@ std::vector<dag_topology> materialize_level_dags(
   // deterministic and thread-count independent.
   std::reverse(level_dags.begin(), level_dags.end());
   return level_dags;
-}
-
-/// Resolves the worker count: the spec override wins, 0 means one worker
-/// per hardware thread.
-unsigned resolve_threads(unsigned spec_threads, unsigned option_threads) {
-  unsigned resolved = spec_threads != 0 ? spec_threads : option_threads;
-  if (resolved == 0) {
-    resolved = std::max(1u, std::thread::hardware_concurrency());
-  }
-  return resolved;
 }
 
 /// One portfolio level: the CNF probe races the STP sweep, first proof
@@ -1050,8 +1021,7 @@ std::vector<chain::boolean_chain> run_portfolio_level(
     const tt::isf& target, std::uint32_t root_cone, unsigned num_vars,
     const std::vector<tt::truth_table>* multi, unsigned gates,
     const std::vector<dag_topology>& dags, core::run_context& rc,
-    stp_stats& stats, factor_memo& memo,
-    util::flat_set64& failed, service::thread_pool& pool,
+    factor_memo& memo, util::flat_set64& failed, service::thread_pool& pool,
     service::thread_pool* sweep_pool,
     std::optional<chain::boolean_chain>& witness) {
   core::run_context probe_rc(&rc);
@@ -1089,7 +1059,7 @@ std::vector<chain::boolean_chain> run_portfolio_level(
   }
 
   auto solutions = run_level(options, target, root_cone, num_vars, multi,
-                             dags, sweep_rc, stats, memo, failed, sweep_pool);
+                             dags, sweep_rc, memo, failed, sweep_pool);
   {
     const std::lock_guard<std::mutex> lock(race_mutex);
     sweep_done = true;
@@ -1123,8 +1093,7 @@ void run_size_sweep(const stp_options& options, const tt::isf& target,
                     std::uint32_t root_cone, unsigned num_vars,
                     const std::vector<tt::truth_table>* multi,
                     unsigned start_gates, unsigned max_gates,
-                    core::run_context& rc, stp_stats& stats,
-                    service::thread_pool* pool,
+                    core::run_context& rc, service::thread_pool* pool,
                     service::thread_pool* sweep_pool, result& out) {
   const unsigned max_outputs =
       multi != nullptr ? static_cast<unsigned>(multi->size()) : 1;
@@ -1166,18 +1135,15 @@ void run_size_sweep(const stp_options& options, const tt::isf& target,
                    ? fence::pruned_fences_multi(gates, max_outputs, &rc)
                    : fence::pruned_fences(gates, &rc))
             : fence::all_fences(gates, &rc);
-    stats.fences += fences.size();
-    const auto level_dags =
-        materialize_level_dags(dag_opts, fences, rc, stats);
+    const auto level_dags = materialize_level_dags(dag_opts, fences, rc);
     auto solutions =
         options.engine == stp_level_engine::portfolio && pool != nullptr
             ? run_portfolio_level(options, prober, target, root_cone,
                                   num_vars, multi, gates, level_dags, rc,
-                                  stats, memo, failed_states, *pool,
-                                  sweep_pool, witness)
+                                  memo, failed_states, *pool, sweep_pool,
+                                  witness)
             : run_level(options, target, root_cone, num_vars, multi,
-                        level_dags, rc, stats, memo, failed_states,
-                        sweep_pool);
+                        level_dags, rc, memo, failed_states, sweep_pool);
 
     // Reaching this level at all proves every smaller gate count was
     // exhausted without a solution, so any chain found here is optimum —
@@ -1234,135 +1200,126 @@ void run_size_sweep(const stp_options& options, const tt::isf& target,
   out.outcome = status::failure;
 }
 
+/// One prepared solve: what `run` and `run_with_dont_cares` hand the
+/// shared driver.
+struct solve_input {
+  tt::isf root;            // root requirement; a placeholder in multi mode
+  std::uint32_t cone = 0;  // variables the root may consume
+  const std::vector<tt::truth_table>* multi = nullptr;  // see search_context
+  unsigned lower = 1;                                   // first gate count
+  /// Original variable of each solve variable, and the original input
+  /// count: every chain is lifted back through this map.
+  std::vector<unsigned> old_of_new;
+  unsigned num_original_inputs = 0;
+};
+
+/// Degenerate pre-pass: a root some constant or literal satisfies needs no
+/// search.  The chain is built over the original inputs, since a constant
+/// shrinks to zero variables and leaves its const-LUT step no fanin.
+bool solve_degenerate(const solve_input& in, result& out) {
+  const unsigned n = in.root.num_vars();
+  for (const bool value : {false, true}) {
+    if (in.root.accepts(tt::truth_table::constant(n, value))) {
+      return synthesize_degenerate(
+          tt::truth_table::constant(in.num_original_inputs, value), out);
+    }
+  }
+  for (unsigned v = 0; v < n; ++v) {
+    for (const bool complemented : {false, true}) {
+      if (in.root.accepts(tt::truth_table::nth_var(n, v, complemented))) {
+        return synthesize_degenerate(
+            tt::truth_table::nth_var(in.num_original_inputs,
+                                     in.old_of_new[v], complemented),
+            out);
+      }
+    }
+  }
+  return false;
+}
+
+/// The one driver behind every STP solve: times the call, charges the
+/// counter delta to `run_ctx` (or a private context), answers degenerate
+/// single-output roots, and otherwise runs the size sweep on `threads`
+/// workers (0 or 1 = sequential) and lifts its chains.
+result solve(const stp_options& options, const solve_input& in,
+             unsigned max_gates, unsigned threads,
+             core::run_context* run_ctx) {
+  util::stopwatch watch;
+  result out;
+  core::run_context local_rc;
+  core::run_context& rc = run_ctx != nullptr ? *run_ctx : local_rc;
+  const core::stage_counters at_start = rc.counters;
+
+  if (in.multi != nullptr || !solve_degenerate(in, out)) {
+    // Portfolio mode needs a pool even single-threaded (the probe task);
+    // the sweep then runs inline so the probe is not queued behind it.
+    std::optional<service::thread_pool> pool;
+    if (threads > 1 || options.engine == stp_level_engine::portfolio) {
+      pool.emplace(threads);
+    }
+    service::thread_pool* sweep_pool = threads > 1 ? &*pool : nullptr;
+    run_size_sweep(options, in.root, in.cone, in.root.num_vars(), in.multi,
+                   in.lower, max_gates, rc, pool ? &*pool : nullptr,
+                   sweep_pool, out);
+    for (auto& c : out.chains) {
+      c = lift_chain_to_original(c, in.old_of_new, in.num_original_inputs);
+    }
+  }
+  out.seconds = watch.elapsed_seconds();
+  out.counters = rc.counters - at_start;
+  return out;
+}
+
 }  // namespace
 
 stp_engine::stp_engine(stp_options options) : options_(options) {}
 
 result stp_engine::run(const spec& s) {
-  util::stopwatch watch;
-  stats_ = stp_stats{};
-  result out;
-
-  core::run_context local_rc;
-  core::run_context& rc = s.ctx != nullptr ? *s.ctx : local_rc;
-  const core::stage_counters at_start = rc.counters;
-  const auto finish = [&](result& r) -> result& {
-    r.seconds = watch.elapsed_seconds();
-    r.counters = rc.counters - at_start;
-    return r;
-  };
-
+  // Shrunk to the union support: the search never sees a variable no
+  // target depends on.  Multi-output callers (the core pre-pass) pass
+  // non-degenerate, pairwise-distinct targets.
   const auto targets = s.targets();
-
-  const unsigned threads = resolve_threads(s.num_threads, options_.num_threads);
-  // Portfolio mode needs a pool even single-threaded (the probe task);
-  // the sweep then runs inline so the probe is not queued behind it.
-  std::optional<service::thread_pool> pool;
-  if (threads > 1 || options_.engine == stp_level_engine::portfolio) {
-    pool.emplace(threads);
-  }
-  service::thread_pool* sweep_pool = threads > 1 ? &*pool : nullptr;
-
-  if (targets.size() >= 2) {
-    // Multi-output sweep over the union support.  The caller (core
-    // pre-pass) guarantees non-degenerate, pairwise-distinct targets.
-    std::vector<unsigned> old_of_new;
-    const auto fs = shrink_for_synthesis(targets, old_of_new);
-    const unsigned n = fs.front().num_vars();
-    // Placeholder root requirement: the multi path seeds every dangling
-    // gate from `fs` instead, but the context holds a reference.
-    const tt::isf target = tt::isf::from_function(fs.front());
-    const std::uint32_t root_cone = (1u << n) - 1;
-    run_size_sweep(options_, target, root_cone, n, &fs,
-                   std::max(1u, trivial_lower_bound(fs)), s.max_gates, rc,
-                   stats_, pool ? &*pool : nullptr, sweep_pool, out);
-    for (auto& c : out.chains) {
-      c = lift_chain_to_original(c, old_of_new, targets.front().num_vars());
-    }
-    return finish(out);
-  }
-
-  std::vector<unsigned> old_of_new;
-  const auto f = shrink_for_synthesis(targets.front(), old_of_new);
-  const unsigned n = f.num_vars();
-
-  const tt::isf target = tt::isf::from_function(f);
-  const std::uint32_t root_cone = (1u << n) - 1;
-  run_size_sweep(options_, target, root_cone, n, nullptr,
-                 std::max(1u, n - 1), s.max_gates, rc, stats_,
-                 pool ? &*pool : nullptr, sweep_pool, out);
-  for (auto& c : out.chains) {
-    c = lift_chain_to_original(c, old_of_new, targets.front().num_vars());
-  }
-  return finish(out);
+  solve_input in;
+  const auto fs = shrink_for_synthesis(targets, in.old_of_new);
+  const unsigned n = fs.front().num_vars();
+  in.root = tt::isf::from_function(fs.front());
+  in.cone = (1u << n) - 1;
+  in.multi = fs.size() >= 2 ? &fs : nullptr;
+  in.lower = trivial_lower_bound(fs);
+  in.num_original_inputs = targets.front().num_vars();
+  return solve(options_, in, s.max_gates, s.num_threads, s.ctx);
 }
 
 result stp_engine::run_with_dont_cares(const tt::isf& target,
                                        core::run_context* run_ctx,
                                        unsigned max_gates) {
-  util::stopwatch watch;
-  stats_ = stp_stats{};
-  result out;
   const unsigned n = target.num_vars();
-
-  core::run_context local_rc;
-  core::run_context& rc = run_ctx != nullptr ? *run_ctx : local_rc;
-  const core::stage_counters at_start = rc.counters;
-  const auto finish = [&](result& r) -> result& {
-    r.seconds = watch.elapsed_seconds();
-    r.counters = rc.counters - at_start;
-    return r;
-  };
-
-  // Degenerate acceptances first: constants and literals.
-  for (const bool value : {false, true}) {
-    if (target.accepts(tt::truth_table::constant(n, value))) {
-      (void)synthesize_degenerate(tt::truth_table::constant(n, value), out);
-      return finish(out);
-    }
-  }
-  for (unsigned v = 0; v < n; ++v) {
-    for (const bool complemented : {false, true}) {
-      const auto literal = tt::truth_table::nth_var(n, v, complemented);
-      if (target.accepts(literal)) {
-        (void)synthesize_degenerate(literal, out);
-        return finish(out);
-      }
-    }
-  }
-
+  solve_input in;
   // Root cone: the variables some completion needs.  If the requirement
   // projects onto its required support, that is the tightest sound cone;
   // otherwise (pairwise-consistent but jointly inconsistent) fall back to
   // all inputs.
-  tt::isf root = target;
-  std::uint32_t cone = (1u << n) - 1;
+  in.root = target;
+  in.cone = (1u << n) - 1;
   const auto required = target.required_support_mask();
   if (required != 0) {
     if (const auto projected = target.project_to_cone(required)) {
-      root = *projected;
-      cone = required;
+      in.root = *projected;
+      in.cone = required;
     }
   }
-
-  const unsigned threads = resolve_threads(0, options_.num_threads);
-  std::optional<service::thread_pool> pool;
-  if (threads > 1 || options_.engine == stp_level_engine::portfolio) {
-    pool.emplace(threads);
-  }
-  service::thread_pool* sweep_pool = threads > 1 ? &*pool : nullptr;
-
   // Every accepted completion depends on all *required* variables, so
   // |required| - 1 is a sound lower bound even when the cone fell back to
-  // the full input set.
-  const unsigned lower = static_cast<unsigned>(
-      std::max(1, std::popcount(required) - 1));
-  // The probe receives the same (cone-projected) requirement the sweep
-  // decides: infeasibility of the k-gate question over all n inputs
-  // subsumes the cone-restricted sweep, so a skipped level is sound.
-  run_size_sweep(options_, root, cone, n, nullptr, lower, max_gates, rc,
-                 stats_, pool ? &*pool : nullptr, sweep_pool, out);
-  return finish(out);
+  // the full input set.  The probe receives the same (cone-projected)
+  // requirement the sweep decides: infeasibility of the k-gate question
+  // over all n inputs subsumes the cone-restricted sweep, so a skipped
+  // level is sound.
+  in.lower = static_cast<unsigned>(std::max(1, std::popcount(required) - 1));
+  for (unsigned v = 0; v < n; ++v) {
+    in.old_of_new.push_back(v);
+  }
+  in.num_original_inputs = n;
+  return solve(options_, in, max_gates, 1, run_ctx);
 }
 
 result stp_synthesize(const spec& s) {

@@ -71,13 +71,6 @@ struct stp_options {
   bool normalize_polarity = true;
   /// Stop after this many optimum chains (0 = enumerate all).
   std::size_t max_solutions = 0;
-  /// Worker threads for the intra-instance DAG sweep: candidate DAGs of
-  /// the current gate count are fanned out in fixed contiguous chunks.
-  /// 1 = sequential (default), 0 = one per hardware thread.  The solution
-  /// set is bit-identical at any thread count (chunking, memo snapshots
-  /// and the merge order are all thread-count independent); with
-  /// `max_solutions == 0` the effort counters are identical too.
-  unsigned num_threads = 1;
   /// Entry cap of the per-run factorization memo (0 = unlimited).  Hard
   /// 6-input instances otherwise grow the memo into millions of entries
   /// (about 285 bytes each at n <= 6, measured on NPN4 class 0x0180:
@@ -100,22 +93,13 @@ struct stp_options {
   factorize_options factor;
 };
 
-/// Search statistics of the last `run`.
-struct stp_stats {
-  std::uint64_t fences = 0;
-  std::uint64_t dags = 0;
-  std::uint64_t partitions_tried = 0;
-  std::uint64_t factorizations = 0;
-  std::uint64_t candidates = 0;  ///< complete chains assembled
-  std::uint64_t verified = 0;    ///< candidates passing AllSAT + simulation
-};
-
 /// The STP exact-synthesis engine.
 class stp_engine {
 public:
   explicit stp_engine(stp_options options = {});
 
-  /// Synthesizes all optimum chains for `s.function`.
+  /// Synthesizes all optimum chains for `s.targets()`, fanning the DAG
+  /// sweep over `s.num_threads` workers.
   result run(const spec& s);
 
   /// Don't-care-aware synthesis: all minimum chains whose function is
@@ -123,16 +107,13 @@ public:
   /// extension of the paper: the factorization engine already propagates
   /// incompletely specified requirements, so an ISF at the root costs
   /// nothing extra — CNF encodings would need per-row relaxation instead.
-  /// `ctx` follows the `spec::ctx` contract (may be nullptr).
+  /// `ctx` follows the `spec::ctx` contract (may be nullptr).  Sequential.
   result run_with_dont_cares(const tt::isf& target,
                              core::run_context* ctx = nullptr,
                              unsigned max_gates = 24);
 
-  [[nodiscard]] const stp_stats& stats() const { return stats_; }
-
 private:
   stp_options options_;
-  stp_stats stats_;
 };
 
 /// Convenience wrapper: run the engine with default options.

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "synth/stp_synth.hpp"
 #include "util/rng.hpp"
+#include "util/run_context.hpp"
+#include "workload/collections.hpp"
 
 namespace {
 
+using stpes::core::run_context;
+using stpes::synth::spec;
 using stpes::synth::status;
 using stpes::synth::stp_engine;
 using stpes::tt::isf;
@@ -19,6 +25,50 @@ TEST(DontCareSynthesis, FullySpecifiedMatchesExactSynthesis) {
   for (const auto& c : dc.chains) {
     EXPECT_EQ(c.simulate(), f);
   }
+
+  // Both entry points share one driver: on a full-support function the
+  // don't-care path must be the very same search — same chains in the
+  // same order and the same effort on every stage counter.  Classes whose
+  // complete-function solve does not finish in the short budget are
+  // skipped; a cut sweep depends on where the clock landed.
+  constexpr double kBudget = 3.0;
+  const auto classes = stpes::workload::npn4_classes();
+  std::size_t compared = 0;
+  for (std::size_t i = 0; i < classes.size(); i += 7) {
+    const auto& g = classes[i];
+    if (g.support_size() != g.num_vars()) {
+      continue;  // shrinking and cone projection take different routes
+    }
+    const std::string label = g.to_hex();
+    run_context complete_ctx{kBudget};
+    spec s;
+    s.function = g;
+    s.ctx = &complete_ctx;
+    const auto complete = engine.run(s);
+    if (complete.outcome != status::success ||
+        !complete.enumeration_complete) {
+      continue;
+    }
+    run_context dc_ctx{kBudget * 4};
+    const auto relaxed = engine.run_with_dont_cares(isf::from_function(g),
+                                                    &dc_ctx);
+    ASSERT_EQ(relaxed.outcome, status::success) << label;
+    ASSERT_TRUE(relaxed.enumeration_complete) << label;
+    EXPECT_EQ(relaxed.optimum_gates, complete.optimum_gates) << label;
+    ASSERT_EQ(relaxed.chains.size(), complete.chains.size()) << label;
+    for (std::size_t c = 0; c < complete.chains.size(); ++c) {
+      EXPECT_TRUE(relaxed.chains[c] == complete.chains[c])
+          << label << " chain " << c;
+    }
+    for (const auto& field : stpes::core::stage_counter_fields) {
+      EXPECT_EQ(relaxed.counters.*field.member,
+                complete.counters.*field.member)
+          << label << ": " << field.name;
+    }
+    ++compared;
+  }
+  // A floor keeps the skip path honest.
+  EXPECT_GE(compared, 12u);
 }
 
 TEST(DontCareSynthesis, DontCaresNeverHurt) {

@@ -185,10 +185,4 @@ TEST(Dag, GatesInConeBound) {
   }
 }
 
-TEST(Dag, LimitIsRespected) {
-  dag_options options;
-  options.limit = 5;
-  EXPECT_LE(generate_dags_for_size(6, options).size(), 5u);
-}
-
 }  // namespace

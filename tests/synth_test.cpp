@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "allsat/circuit_allsat.hpp"
 #include "core/exact_synthesis.hpp"
 #include "synth/bms.hpp"
@@ -98,6 +100,31 @@ TEST(Synthesis, DegenerateTargets) {
     const auto constant = exact_synthesis(truth_table::constant(2, false), e);
     ASSERT_TRUE(constant.ok());
     EXPECT_TRUE(constant.best().simulate().is_const0());
+  }
+}
+
+TEST(Synthesis, RawStpEngineAnswersDegenerateTargets) {
+  // The engine's own pre-pass, not just the exact_synthesis facade, must
+  // answer constants and literals: a constant shrinks to zero variables and
+  // a literal has no 1-gate chain to find.
+  const std::pair<const char*, unsigned> cases[] = {
+      {"0x0000", 1}, {"0xffff", 1}, {"0xaaaa", 0}, {"0x5555", 0}};
+  for (const auto& [hex, optimum] : cases) {
+    const auto f = truth_table::from_hex(4, hex);
+    const auto facade = exact_synthesis(f, engine::stp);
+    ASSERT_TRUE(facade.ok()) << hex;
+    EXPECT_EQ(facade.optimum_gates, optimum) << hex;
+
+    stpes::core::run_context ctx{5.0};
+    spec s;
+    s.function = f;
+    s.ctx = &ctx;
+    const auto r = stpes::synth::stp_engine{}.run(s);
+    ASSERT_EQ(r.outcome, status::success) << hex;
+    EXPECT_EQ(r.optimum_gates, facade.optimum_gates) << hex;
+    ASSERT_EQ(r.chains.size(), 1u) << hex;
+    EXPECT_EQ(r.best().num_inputs(), 4u) << hex;
+    EXPECT_EQ(r.best().simulate(), f) << hex;
   }
 }
 

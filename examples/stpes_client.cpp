@@ -17,16 +17,12 @@
 /// code is 0 on an OK reply, 1 on ERR (including `ERR timeout`), and 2 on
 /// usage or connection problems.
 
-#include <unistd.h>
-
 #include <iostream>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "server/client.hpp"
-#include "server/fd_stream.hpp"
-#include "server/resilient_client.hpp"
 
 namespace {
 
@@ -41,22 +37,6 @@ namespace {
          "  ping | shutdown\n";
   std::exit(2);
 }
-
-/// An endpoint-agnostic connection owning the fd, the stream, and the
-/// protocol client.
-struct connection_holder {
-  explicit connection_holder(const stpes::server::endpoint& ep)
-      : fd(stpes::server::connect_endpoint(ep, 5000)),
-        io(fd),
-        client(io, io) {}
-  ~connection_holder() { ::close(fd); }
-  connection_holder(const connection_holder&) = delete;
-  connection_holder& operator=(const connection_holder&) = delete;
-
-  int fd;
-  stpes::server::fd_iostream io;
-  stpes::server::line_client client;
-};
 
 /// Splits a `<hex>[,<hex>...]` payload into per-output truth tables.
 std::vector<stpes::tt::truth_table> parse_targets(unsigned num_vars,
@@ -120,8 +100,8 @@ int main(int argc, char** argv) {
   }
 
   try {
-    connection_holder connection{*target};
-    auto& client = connection.client;
+    server::connection connection{*target, 5000};
+    auto& client = connection.client();
     const std::string& command = args[0];
 
     if (command == "synth" && (args.size() == 4 || args.size() == 5)) {

@@ -21,22 +21,17 @@
 /// passive (request-path failures) and active (`--probe-interval-ms`
 /// pings).  SIGTERM/SIGINT drain exactly like the daemon.
 
-#include <csignal>
 #include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include "route/router.hpp"
-#include "server/socket_server.hpp"
-#include "server/tcp_socket_server.hpp"
-#include "util/failpoint.hpp"
+#include "server/daemon.hpp"
 
 namespace {
 
 struct cli_options {
-  std::string socket_path;
-  std::string listen_spec;
-  bool pipe = false;
+  stpes::server::daemon_transport transport;
   stpes::route::router_options router;
 };
 
@@ -55,120 +50,55 @@ struct cli_options {
   std::exit(2);
 }
 
-unsigned parse_unsigned(const char* argv0, const std::string& flag,
-                        const std::string& v) {
-  std::size_t pos = 0;
-  unsigned long out = 0;
-  try {
-    out = std::stoul(v, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (pos != v.size() || v.empty() || out > ~0u) {
-    usage(argv0, "--" + flag + " wants a non-negative integer, got '" + v +
-                     "'");
-  }
-  return static_cast<unsigned>(out);
-}
-
-double parse_seconds(const char* argv0, const std::string& flag,
-                     const std::string& v) {
-  std::size_t pos = 0;
-  double out = 0.0;
-  try {
-    out = std::stod(v, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (pos != v.size() || v.empty() || out < 0.0) {
-    usage(argv0, "--" + flag + " wants non-negative seconds, got '" + v +
-                     "'");
-  }
-  return out;
-}
-
 cli_options parse_cli(int argc, char** argv) {
+  using namespace stpes::server;
   cli_options opts;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&](const std::string& name) -> std::string {
-      const std::string prefix = "--" + name + "=";
-      return arg.rfind(prefix, 0) == 0 ? arg.substr(prefix.size())
-                                       : std::string{};
-    };
-    if (arg == "--pipe") {
-      opts.pipe = true;
-    } else if (auto v = value("socket"); !v.empty()) {
-      opts.socket_path = v;
-    } else if (auto v = value("listen"); !v.empty()) {
-      opts.listen_spec = v;
-    } else if (auto v = value("backend"); !v.empty()) {
-      opts.router.backends.push_back(v);
-    } else if (auto v = value("vnodes"); !v.empty()) {
-      opts.router.vnodes = parse_unsigned(argv[0], "vnodes", v);
-    } else if (auto v = value("fail-threshold"); !v.empty()) {
-      opts.router.fail_threshold =
-          parse_unsigned(argv[0], "fail-threshold", v);
-    } else if (auto v = value("probation-ms"); !v.empty()) {
-      opts.router.probation_ms = parse_unsigned(argv[0], "probation-ms", v);
-    } else if (auto v = value("probe-interval-ms"); !v.empty()) {
-      opts.router.probe_interval_ms =
-          parse_unsigned(argv[0], "probe-interval-ms", v);
-    } else if (auto v = value("backend-attempts"); !v.empty()) {
-      opts.router.backend_policy.max_attempts =
-          parse_unsigned(argv[0], "backend-attempts", v);
-    } else if (auto v = value("connect-timeout-ms"); !v.empty()) {
-      opts.router.backend_policy.connect_timeout_ms =
-          parse_unsigned(argv[0], "connect-timeout-ms", v);
-    } else if (auto v = value("io-timeout-ms"); !v.empty()) {
-      opts.router.backend_policy.io_timeout_ms =
-          parse_unsigned(argv[0], "io-timeout-ms", v);
-    } else if (auto v = value("retry-hint-ms"); !v.empty()) {
-      opts.router.min_retry_hint_ms =
-          parse_unsigned(argv[0], "retry-hint-ms", v);
-    } else if (auto v = value("idle-timeout"); !v.empty()) {
-      opts.router.idle_timeout_seconds =
-          parse_seconds(argv[0], "idle-timeout", v);
-    } else if (auto v = value("drain-grace"); !v.empty()) {
-      opts.router.drain_grace_seconds =
-          parse_seconds(argv[0], "drain-grace", v);
-    } else {
-      usage(argv[0], "unknown argument '" + arg + "'");
+  auto& r = opts.router;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (opts.transport.consume(arg)) {
+        continue;
+      }
+      if (auto v = flag_value(arg, "backend"); !v.empty()) {
+        r.backends.push_back(v);
+      } else if (auto v = flag_value(arg, "vnodes"); !v.empty()) {
+        r.vnodes = parse_unsigned("vnodes", v);
+      } else if (auto v = flag_value(arg, "fail-threshold"); !v.empty()) {
+        r.fail_threshold = parse_unsigned("fail-threshold", v);
+      } else if (auto v = flag_value(arg, "probation-ms"); !v.empty()) {
+        r.probation_ms = parse_unsigned("probation-ms", v);
+      } else if (auto v = flag_value(arg, "probe-interval-ms"); !v.empty()) {
+        r.probe_interval_ms = parse_unsigned("probe-interval-ms", v);
+      } else if (auto v = flag_value(arg, "backend-attempts"); !v.empty()) {
+        r.backend_policy.max_attempts = parse_unsigned("backend-attempts", v);
+      } else if (auto v = flag_value(arg, "connect-timeout-ms");
+                 !v.empty()) {
+        r.backend_policy.connect_timeout_ms =
+            parse_unsigned("connect-timeout-ms", v);
+      } else if (auto v = flag_value(arg, "io-timeout-ms"); !v.empty()) {
+        r.backend_policy.io_timeout_ms = parse_unsigned("io-timeout-ms", v);
+      } else if (auto v = flag_value(arg, "retry-hint-ms"); !v.empty()) {
+        r.min_retry_hint_ms = parse_unsigned("retry-hint-ms", v);
+      } else if (auto v = flag_value(arg, "idle-timeout"); !v.empty()) {
+        r.idle_timeout_seconds = parse_seconds("idle-timeout", v);
+      } else if (auto v = flag_value(arg, "drain-grace"); !v.empty()) {
+        r.drain_grace_seconds = parse_seconds("drain-grace", v);
+      } else {
+        throw usage_error{"unknown argument '" + arg + "'"};
+      }
     }
-  }
-  const int transports = (opts.pipe ? 1 : 0) +
-                         (opts.socket_path.empty() ? 0 : 1) +
-                         (opts.listen_spec.empty() ? 0 : 1);
-  if (transports != 1) {
-    usage(argv[0], "pick exactly one of --socket, --listen, --pipe");
-  }
-  if (opts.router.backends.empty()) {
-    usage(argv[0], "at least one --backend=SPEC is required");
-  }
-  if (opts.router.vnodes == 0) {
-    usage(argv[0], "--vnodes must be >= 1");
+    opts.transport.check();
+    if (r.backends.empty()) {
+      throw usage_error{"at least one --backend=SPEC is required"};
+    }
+    if (r.vnodes == 0) {
+      throw usage_error{"--vnodes must be >= 1"};
+    }
+  } catch (const usage_error& e) {
+    usage(argv[0], e.what());
   }
   return opts;
-}
-
-stpes::server::stream_listener* g_listener = nullptr;
-
-void on_signal(int) {
-  if (g_listener != nullptr) {
-    g_listener->stop();  // async-signal-safe: atomic + pipe write
-  }
-}
-
-void install_signal_handlers() {
-  struct sigaction sa{};
-  sa.sa_handler = on_signal;
-  sigemptyset(&sa.sa_mask);
-  sigaction(SIGTERM, &sa, nullptr);
-  sigaction(SIGINT, &sa, nullptr);
-  struct sigaction ign{};
-  ign.sa_handler = SIG_IGN;
-  sigemptyset(&ign.sa_mask);
-  sigaction(SIGPIPE, &ign, nullptr);
 }
 
 }  // namespace
@@ -178,40 +108,14 @@ int main(int argc, char** argv) {
 
   const auto cli = parse_cli(argc, argv);
 
-  if (util::failpoints_compiled_in()) {
-    const auto armed = util::failpoint_registry::instance().load_from_env();
-    if (armed > 0) {
-      std::cerr << "stpes-route: armed " << armed
-                << " failpoint(s) from STPES_FAILPOINTS\n";
-    }
-  }
+  server::arm_failpoints_from_env("stpes-route");
 
   try {
     route::router router{cli.router};  // validates backend specs eagerly
     router.start_probes();
-    if (cli.pipe) {
-      std::cerr << "stpes-route: pipe mode, "
-                << cli.router.backends.size() << " backend(s)\n";
-      router.serve(std::cin, std::cout);
-    } else if (!cli.listen_spec.empty()) {
-      const auto spec = server::tcp_listen_spec::parse(cli.listen_spec);
-      server::tcp_socket_server listener{router, spec};
-      g_listener = &listener;
-      install_signal_handlers();
-      std::cerr << "stpes-route: listening on " << spec.host << ":"
-                << listener.port() << ", " << cli.router.backends.size()
-                << " backend(s)\n";
-      listener.run();
-      g_listener = nullptr;
-    } else {
-      server::unix_socket_server listener{router, cli.socket_path};
-      g_listener = &listener;
-      install_signal_handlers();
-      std::cerr << "stpes-route: listening on " << cli.socket_path << ", "
-                << cli.router.backends.size() << " backend(s)\n";
-      listener.run();
-      g_listener = nullptr;
-    }
+    server::serve_daemon(
+        router, cli.transport, "stpes-route",
+        std::to_string(cli.router.backends.size()) + " backend(s)");
     router.stop_probes();
   } catch (const std::exception& e) {
     std::cerr << "stpes-route: " << e.what() << "\n";

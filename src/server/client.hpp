@@ -1,11 +1,18 @@
 /// \file client.hpp
-/// \brief Minimal C++ client for the stpes-serve line protocol.
+/// \brief The C++ side of the stpes-serve line protocol, down to the wire.
 ///
 /// Header-only on purpose: external tools can vendor this one file (plus
 /// the protocol grammar it shares with `service::chain_io`) instead of
-/// linking the library.  `line_client` drives any iostream pair — the
-/// integration tests run it over stringstream transcripts and in-process
-/// pipes — and `unix_client` owns a connected socket for the real daemon.
+/// linking the library.  Two layers:
+///
+///   * `line_client` speaks the protocol over any iostream pair — the
+///     tests run it over stringstream transcripts and in-process pipes;
+///   * `connection` owns a socket to a daemon named by an `endpoint`
+///     (`unix:/path`, `/path`, or `host:port`), opened within a deadline
+///     by `connect_endpoint`, plus the `line_client` over it.  The example
+///     client, the tests and `resilient_client` (retry on top) all connect
+///     through it, and the TCP listener shares its host:port split and
+///     IPv4 resolver.
 ///
 /// Every call returns the parsed reply *and* records the raw reply bytes
 /// (`last_raw()`), which is how the tests assert byte-identical answers
@@ -13,17 +20,26 @@
 
 #pragma once
 
+#include <arpa/inet.h>
+#include <fcntl.h>
+#include <netdb.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <istream>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -268,10 +284,23 @@ public:
     require_ok(read_line(), "OK failpoints ");
   }
 
-  bool ping() {
+  /// `PING` as a reply: ok on `OK pong`, busy (with its hint) when the
+  /// daemon shed it, otherwise not ok with the reply line as `error`.
+  synth_reply ping_reply() {
     send("PING");
-    return read_line() == "OK pong";
+    const auto head = read_line();
+    if (head.rfind("BUSY ", 0) == 0) {
+      return parse_busy(head);
+    }
+    synth_reply r;
+    r.ok = head == "OK pong";
+    if (!r.ok) {
+      r.error = head;
+    }
+    return r;
   }
+
+  bool ping() { return ping_reply().ok; }
 
   void quit() {
     send("QUIT");
@@ -406,47 +435,206 @@ private:
   std::string last_raw_;
 };
 
-/// A `line_client` over a connected Unix-domain socket.
-class unix_client {
+/// A failed connect, or a request that no retry could carry.
+struct transport_error : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Splits `spec` at its last colon into `host` and `port`; false when
+/// there is no colon.  `port` stays empty when the text after the colon
+/// is not a decimal number in [0, 65535].
+inline bool split_host_port(const std::string& spec, std::string& host,
+                            std::optional<std::uint16_t>& port) {
+  const auto colon = spec.rfind(':');
+  if (colon == std::string::npos) {
+    return false;
+  }
+  host = spec.substr(0, colon);
+  const std::string text = spec.substr(colon + 1);
+  std::size_t pos = 0;
+  unsigned long value = 0;
+  try {
+    value = std::stoul(text, &pos);
+  } catch (const std::exception&) {
+    pos = 0;
+  }
+  port.reset();
+  if (!text.empty() && pos == text.size() && value <= 65535) {
+    port = static_cast<std::uint16_t>(value);
+  }
+  return true;
+}
+
+/// Resolves `host` to an IPv4 address: a dotted quad as written, any
+/// other name through getaddrinfo.  Returns 0 or the getaddrinfo error.
+inline int resolve_ipv4(const std::string& host, in_addr& out) {
+  if (::inet_pton(AF_INET, host.c_str(), &out) == 1) {
+    return 0;
+  }
+  addrinfo hints{};
+  hints.ai_family = AF_INET;
+  hints.ai_socktype = SOCK_STREAM;
+  addrinfo* res = nullptr;
+  const int rc = ::getaddrinfo(host.c_str(), nullptr, &hints, &res);
+  if (rc != 0) {
+    return rc;
+  }
+  out = reinterpret_cast<const sockaddr_in*>(res->ai_addr)->sin_addr;
+  ::freeaddrinfo(res);
+  return 0;
+}
+
+/// Where a daemon lives: a Unix-socket path or a TCP `host:port`.
+struct endpoint {
+  enum class kind { unix_socket, tcp };
+  kind transport = kind::unix_socket;
+  std::string host_or_path;  ///< socket path, or TCP host
+  std::uint16_t port = 0;    ///< TCP only
+
+  /// `unix:/path`, `/path` (leading slash or dot), or `host:port`.
+  /// Throws on a bad port or an empty path or host.
+  static endpoint parse(const std::string& spec) {
+    endpoint ep;
+    std::optional<std::uint16_t> port;
+    if (spec.rfind("unix:", 0) == 0) {
+      ep.host_or_path = spec.substr(5);
+    } else if (spec.empty() || spec[0] == '/' || spec[0] == '.' ||
+               !split_host_port(spec, ep.host_or_path, port)) {
+      ep.host_or_path = spec;
+    } else {
+      ep.transport = kind::tcp;
+      ep.port = port.value_or(0);
+    }
+    if (ep.host_or_path.empty() ||
+        (ep.transport == kind::tcp && ep.port == 0)) {
+      throw std::runtime_error{"bad endpoint '" + spec +
+                               "' (want unix:/path, /path, or host:port)"};
+    }
+    return ep;
+  }
+
+  [[nodiscard]] std::string to_string() const {
+    return transport == kind::unix_socket
+               ? host_or_path
+               : host_or_path + ":" + std::to_string(port);
+  }
+};
+
+/// Connects to `ep` within `timeout_ms` and returns a blocking fd; throws
+/// `transport_error` on failure.  The connect is non-blocking plus a
+/// poll.  A Unix socket whose listen backlog is full refuses it with
+/// `EAGAIN` instead of `EINPROGRESS`, so that connect is retried until
+/// the deadline.
+inline int connect_endpoint(const endpoint& ep, unsigned timeout_ms) {
+  using clock = std::chrono::steady_clock;
+  const auto deadline = clock::now() + std::chrono::milliseconds(timeout_ms);
+  const auto ms_left = [&deadline] {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          deadline - clock::now())
+                          .count();
+    return left > 0 ? static_cast<int>(left) : 0;
+  };
+  const bool is_unix = ep.transport == endpoint::kind::unix_socket;
+  sockaddr_storage addr{};
+  socklen_t addr_len = 0;
+  if (is_unix) {
+    auto* un = reinterpret_cast<sockaddr_un*>(&addr);
+    un->sun_family = AF_UNIX;
+    if (ep.host_or_path.size() >= sizeof(un->sun_path)) {
+      throw transport_error{"socket path too long: " + ep.host_or_path};
+    }
+    std::strncpy(un->sun_path, ep.host_or_path.c_str(),
+                 sizeof(un->sun_path) - 1);
+    addr_len = sizeof(sockaddr_un);
+  } else {
+    auto* in4 = reinterpret_cast<sockaddr_in*>(&addr);
+    in4->sin_family = AF_INET;
+    in4->sin_port = htons(ep.port);
+    if (const int rc = resolve_ipv4(ep.host_or_path, in4->sin_addr);
+        rc != 0) {
+      throw transport_error{"cannot resolve '" + ep.host_or_path +
+                            "': " + ::gai_strerror(rc)};
+    }
+    addr_len = sizeof(sockaddr_in);
+  }
+  const int fd = ::socket(is_unix ? AF_UNIX : AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    throw transport_error{"socket: " + std::string{std::strerror(errno)}};
+  }
+  const int flags = ::fcntl(fd, F_GETFL, 0);
+  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+  const auto* sa = reinterpret_cast<const sockaddr*>(&addr);
+  int rc = ::connect(fd, sa, addr_len);
+  while (rc < 0 && errno == EAGAIN && is_unix) {
+    if (ms_left() == 0) {
+      errno = ETIMEDOUT;
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    rc = ::connect(fd, sa, addr_len);
+  }
+  if (rc < 0 && errno == EINPROGRESS) {
+    pollfd p{fd, POLLOUT, 0};
+    int ready = 0;
+    do {
+      ready = ::poll(&p, 1, ms_left());
+    } while (ready < 0 && errno == EINTR);
+    int err = ETIMEDOUT;
+    if (ready > 0) {
+      socklen_t err_len = sizeof(err);
+      ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &err_len);
+    }
+    rc = err == 0 ? 0 : -1;
+    errno = err;
+  }
+  if (rc < 0) {
+    const std::string reason =
+        errno == ETIMEDOUT ? "timed out" : std::strerror(errno);
+    ::close(fd);
+    throw transport_error{"connect " + ep.to_string() + ": " + reason};
+  }
+  ::fcntl(fd, F_SETFL, flags);  // back to blocking; reads poll explicitly
+  if (!is_unix) {
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  }
+  return fd;
+}
+
+/// One open connection to a daemon: the socket, the stream over it, and
+/// the `line_client` speaking on that stream.
+class connection {
 public:
-  explicit unix_client(const std::string& socket_path)
-      : fd_(connect_or_throw(socket_path)),
-        io_(fd_),
+  /// Connects within `connect_timeout_ms`; a nonzero `io_timeout_ms`
+  /// bounds every read gap (see `fd_iostream`).  Throws `transport_error`.
+  connection(const endpoint& ep, unsigned connect_timeout_ms,
+             unsigned io_timeout_ms = 0)
+      : socket_{connect_endpoint(ep, connect_timeout_ms)},
+        io_(socket_.fd,
+            io_timeout_ms == 0 ? -1 : static_cast<int>(io_timeout_ms)),
         client_(io_, io_) {}
 
-  ~unix_client() {
-    if (fd_ >= 0) {
-      ::close(fd_);
-    }
-  }
+  connection(const connection&) = delete;
+  connection& operator=(const connection&) = delete;
 
-  unix_client(const unix_client&) = delete;
-  unix_client& operator=(const unix_client&) = delete;
+  [[nodiscard]] line_client& client() { return client_; }
+  [[nodiscard]] const line_client& client() const { return client_; }
 
-  [[nodiscard]] line_client& session() { return client_; }
+  /// The raw stream, for reads outside the request/reply discipline
+  /// (an unsolicited `ERR idle-timeout`, EOF after a drain).
+  [[nodiscard]] fd_iostream& stream() { return io_; }
 
 private:
-  static int connect_or_throw(const std::string& path) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (path.size() >= sizeof(addr.sun_path)) {
-      throw std::runtime_error{"socket path too long: " + path};
-    }
-    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) {
-      throw std::runtime_error{"socket: " + std::string{strerror(errno)}};
-    }
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof(addr)) < 0) {
-      const std::string reason = strerror(errno);
-      ::close(fd);
-      throw std::runtime_error{"connect " + path + ": " + reason};
-    }
-    return fd;
-  }
+  /// Declared first, so the socket closes after the stream's last flush.
+  struct owned_fd {
+    explicit owned_fd(int f) : fd(f) {}
+    ~owned_fd() { ::close(fd); }
+    owned_fd(const owned_fd&) = delete;
+    owned_fd& operator=(const owned_fd&) = delete;
+    int fd;
+  };
 
-  int fd_;
+  owned_fd socket_;
   fd_iostream io_;
   line_client client_;
 };

@@ -1,14 +1,12 @@
 /// \file resilient_client.hpp
 /// \brief A client that turns transient faults into retries, not errors.
 ///
-/// `line_client` (client.hpp) assumes a healthy transport: one broken read
-/// throws and the session is gone.  `resilient_client` wraps it with the
-/// machinery a caller facing a real network needs:
+/// A `connection` (client.hpp) assumes a healthy transport: one broken
+/// read throws and the session is gone.  `resilient_client` keeps only the
+/// retry machinery on top of it that a caller facing a real network needs
+/// (connects and reads are already bounded by the connection's deadlines,
+/// so a blackholed daemon costs milliseconds, not forever):
 ///
-///   * endpoints: `unix:/path`, a bare `/path`, or `host:port` (TCP);
-///   * bounded connects (non-blocking connect + poll) and bounded reads
-///     (the `fd_stream` poll deadline), so a blackholed daemon costs
-///     milliseconds, not forever;
 ///   * automatic reconnect with capped exponential backoff and
 ///     *deterministic* jitter: `backoff_ms(attempt)` is a pure function of
 ///     the policy seed and the attempt index, so tests assert the exact
@@ -30,23 +28,9 @@
 
 #pragma once
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
-#include <memory>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -54,135 +38,9 @@
 #include <vector>
 
 #include "server/client.hpp"
-#include "server/fd_stream.hpp"
 #include "util/rng.hpp"
 
 namespace stpes::server {
-
-/// A connect/read/write failure that survived every configured retry.
-struct transport_error : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
-/// Where a daemon lives: a Unix-socket path or a TCP `host:port`.
-struct endpoint {
-  enum class kind { unix_socket, tcp };
-  kind transport = kind::unix_socket;
-  std::string host_or_path;  ///< socket path, or TCP host
-  std::uint16_t port = 0;    ///< TCP only
-
-  /// `unix:/path`, `/path` (leading slash or dot), or `host:port`.
-  static endpoint parse(const std::string& spec) {
-    endpoint ep;
-    if (spec.rfind("unix:", 0) == 0) {
-      ep.host_or_path = spec.substr(5);
-      return ep;
-    }
-    const auto colon = spec.rfind(':');
-    if (colon == std::string::npos || spec.empty() || spec[0] == '/' ||
-        spec[0] == '.') {
-      ep.host_or_path = spec;
-      return ep;
-    }
-    const std::string port_str = spec.substr(colon + 1);
-    std::size_t pos = 0;
-    unsigned long port = 0;
-    try {
-      port = std::stoul(port_str, &pos);
-    } catch (const std::exception&) {
-      pos = 0;
-    }
-    if (pos != port_str.size() || port == 0 || port > 65535) {
-      throw std::runtime_error{"bad endpoint '" + spec +
-                               "' (want unix:/path, /path, or host:port)"};
-    }
-    ep.transport = kind::tcp;
-    ep.host_or_path = spec.substr(0, colon);
-    ep.port = static_cast<std::uint16_t>(port);
-    return ep;
-  }
-
-  [[nodiscard]] std::string to_string() const {
-    return transport == kind::unix_socket
-               ? host_or_path
-               : host_or_path + ":" + std::to_string(port);
-  }
-};
-
-/// Connects to `ep` within `timeout_ms` (non-blocking connect + poll);
-/// returns a blocking fd.  Throws `transport_error` on failure.
-inline int connect_endpoint(const endpoint& ep, unsigned timeout_ms) {
-  int fd = -1;
-  sockaddr_storage addr{};
-  socklen_t addr_len = 0;
-  if (ep.transport == endpoint::kind::unix_socket) {
-    auto* un = reinterpret_cast<sockaddr_un*>(&addr);
-    un->sun_family = AF_UNIX;
-    if (ep.host_or_path.size() >= sizeof(un->sun_path)) {
-      throw transport_error{"socket path too long: " + ep.host_or_path};
-    }
-    std::strncpy(un->sun_path, ep.host_or_path.c_str(),
-                 sizeof(un->sun_path) - 1);
-    addr_len = sizeof(sockaddr_un);
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  } else {
-    auto* in4 = reinterpret_cast<sockaddr_in*>(&addr);
-    in4->sin_family = AF_INET;
-    in4->sin_port = htons(ep.port);
-    if (::inet_pton(AF_INET, ep.host_or_path.c_str(), &in4->sin_addr) !=
-        1) {
-      addrinfo hints{};
-      hints.ai_family = AF_INET;
-      hints.ai_socktype = SOCK_STREAM;
-      addrinfo* res = nullptr;
-      const int rc =
-          ::getaddrinfo(ep.host_or_path.c_str(), nullptr, &hints, &res);
-      if (rc != 0 || res == nullptr) {
-        throw transport_error{"cannot resolve '" + ep.host_or_path +
-                              "': " + ::gai_strerror(rc)};
-      }
-      in4->sin_addr =
-          reinterpret_cast<const sockaddr_in*>(res->ai_addr)->sin_addr;
-      ::freeaddrinfo(res);
-    }
-    addr_len = sizeof(sockaddr_in);
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  }
-  if (fd < 0) {
-    throw transport_error{"socket: " + std::string{std::strerror(errno)}};
-  }
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  int rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                     addr_len);
-  if (rc < 0 && errno == EINPROGRESS) {
-    pollfd p{fd, POLLOUT, 0};
-    int ready = 0;
-    do {
-      ready = ::poll(&p, 1, static_cast<int>(timeout_ms));
-    } while (ready < 0 && errno == EINTR);
-    if (ready <= 0) {
-      ::close(fd);
-      throw transport_error{"connect " + ep.to_string() + ": timed out"};
-    }
-    int err = 0;
-    socklen_t err_len = sizeof(err);
-    ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &err_len);
-    rc = err == 0 ? 0 : -1;
-    errno = err;
-  }
-  if (rc < 0) {
-    const std::string reason = std::strerror(errno);
-    ::close(fd);
-    throw transport_error{"connect " + ep.to_string() + ": " + reason};
-  }
-  ::fcntl(fd, F_SETFL, flags);  // back to blocking; reads poll explicitly
-  if (ep.transport == endpoint::kind::tcp) {
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  }
-  return fd;
-}
 
 /// Knobs for the retry/backoff loop.  Defaults suit a LAN daemon; tests
 /// shrink everything to milliseconds.
@@ -269,23 +127,11 @@ public:
   bool ping() {
     try {
       return with_retry([&](line_client& c) {
-        line_client::synth_reply r;
-        r.ok = c.ping();
-        if (!r.ok) {
-          const auto& raw = c.last_raw();
-          if (raw.rfind("BUSY ", 0) == 0) {
-            r.busy = true;
-            std::istringstream is{raw};
-            std::string kw;
-            is >> kw >> kw;
-            if (!(is >> r.retry_after_ms)) {
-              r.retry_after_ms = 0;
-            }
-            return r;
-          }
+        auto r = c.ping_reply();
+        if (!r.ok && !r.busy) {
           // An unexpected reply line is a protocol fault, not a BUSY:
           // treat like a transport error so the retry loop reconnects.
-          throw std::runtime_error{"unexpected ping reply"};
+          throw std::runtime_error{"unexpected ping reply: " + r.error};
         }
         return r;
       }).ok;
@@ -312,38 +158,21 @@ public:
   /// (empty when disconnected) — relays re-frame these verbatim.
   [[nodiscard]] const std::string& last_raw() const {
     static const std::string empty;
-    return conn_ != nullptr ? conn_->client.last_raw() : empty;
+    return conn_.has_value() ? conn_->client().last_raw() : empty;
   }
 
   [[nodiscard]] const endpoint& target() const { return endpoint_; }
-  [[nodiscard]] bool connected() const { return conn_ != nullptr; }
+  [[nodiscard]] bool connected() const { return conn_.has_value(); }
 
-  void disconnect() {
-    conn_.reset();
-  }
+  void disconnect() { conn_.reset(); }
 
 private:
-  struct connection {
-    explicit connection(int fd_in, unsigned io_timeout_ms)
-        : fd(fd_in),
-          io(fd_in, io_timeout_ms == 0 ? -1
-                                       : static_cast<int>(io_timeout_ms)),
-          client(io, io) {}
-    ~connection() { ::close(fd); }
-    connection(const connection&) = delete;
-    connection& operator=(const connection&) = delete;
-
-    int fd;
-    fd_iostream io;
-    line_client client;
-  };
-
   void ensure_connected() {
-    if (conn_ != nullptr) {
+    if (conn_.has_value()) {
       return;
     }
-    const int fd = connect_endpoint(endpoint_, policy_.connect_timeout_ms);
-    conn_ = std::make_unique<connection>(fd, policy_.io_timeout_ms);
+    conn_.emplace(endpoint_, policy_.connect_timeout_ms,
+                  policy_.io_timeout_ms);
     if (ever_connected_) {
       ++metrics_.reconnects;
     } else {
@@ -385,7 +214,7 @@ private:
       }
       try {
         ensure_connected();
-        auto reply = op(conn_->client);
+        auto reply = op(conn_->client());
         if (reply.busy) {
           saw_busy = true;
           last_busy = reply;
@@ -400,7 +229,7 @@ private:
         // read deadline) lands here: drop the connection, back off,
         // reconnect on the next attempt.  SYNTH is cache-convergent, so
         // re-sending after a dropped reply is safe by construction.
-        if (conn_ != nullptr && conn_->io.timed_out()) {
+        if (conn_.has_value() && conn_->stream().timed_out()) {
           ++metrics_.io_timeouts;
           last_failure = std::string{"read timeout: "} + e.what();
         } else {
@@ -425,7 +254,7 @@ private:
   endpoint endpoint_;
   retry_policy policy_;
   client_metrics metrics_;
-  std::unique_ptr<connection> conn_;
+  std::optional<connection> conn_;
   bool ever_connected_ = false;
 };
 

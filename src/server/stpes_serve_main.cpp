@@ -30,22 +30,17 @@
 /// the same.  All logging goes to stderr; in pipe mode stdout belongs to
 /// the protocol.
 
-#include <csignal>
 #include <cstdlib>
 #include <iostream>
 #include <string>
 
+#include "server/daemon.hpp"
 #include "server/server.hpp"
-#include "server/socket_server.hpp"
-#include "server/tcp_socket_server.hpp"
-#include "util/failpoint.hpp"
 
 namespace {
 
 struct cli_options {
-  std::string socket_path;
-  std::string listen_spec;
-  bool pipe = false;
+  stpes::server::daemon_transport transport;
   std::string engine = "stp";
   unsigned threads = 0;
   double timeout = 5.0;
@@ -74,124 +69,48 @@ struct cli_options {
   std::exit(2);
 }
 
-/// Guarded numeric parsers: a malformed flag value is a usage error (exit
-/// 2 with a message), never an uncaught std::invalid_argument abort.
-std::uint64_t parse_u64(const char* argv0, const std::string& flag,
-                        const std::string& v) {
-  std::size_t pos = 0;
-  unsigned long long out = 0;
-  try {
-    out = std::stoull(v, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (pos != v.size() || v.empty()) {
-    usage(argv0, "--" + flag + " wants a non-negative integer, got '" + v +
-                     "'");
-  }
-  return out;
-}
-
-unsigned parse_unsigned(const char* argv0, const std::string& flag,
-                        const std::string& v, unsigned max_value = ~0u) {
-  const auto out = parse_u64(argv0, flag, v);
-  if (out > max_value) {
-    usage(argv0, "--" + flag + " value " + v + " exceeds " +
-                     std::to_string(max_value));
-  }
-  return static_cast<unsigned>(out);
-}
-
-double parse_seconds(const char* argv0, const std::string& flag,
-                     const std::string& v) {
-  std::size_t pos = 0;
-  double out = 0.0;
-  try {
-    out = std::stod(v, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (pos != v.size() || v.empty() || out < 0.0) {
-    usage(argv0, "--" + flag + " wants non-negative seconds, got '" + v +
-                     "'");
-  }
-  return out;
-}
-
 cli_options parse_cli(int argc, char** argv) {
+  using namespace stpes::server;
   cli_options opts;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&](const std::string& name) -> std::string {
-      const std::string prefix = "--" + name + "=";
-      return arg.rfind(prefix, 0) == 0 ? arg.substr(prefix.size())
-                                       : std::string{};
-    };
-    if (arg == "--pipe") {
-      opts.pipe = true;
-    } else if (auto v = value("socket"); !v.empty()) {
-      opts.socket_path = v;
-    } else if (auto v = value("listen"); !v.empty()) {
-      opts.listen_spec = v;
-    } else if (auto v = value("engine"); !v.empty()) {
-      opts.engine = v;
-    } else if (auto v = value("threads"); !v.empty()) {
-      opts.threads = parse_unsigned(argv[0], "threads", v);
-    } else if (auto v = value("timeout"); !v.empty()) {
-      opts.timeout = parse_seconds(argv[0], "timeout", v);
-    } else if (auto v = value("max-timeout"); !v.empty()) {
-      opts.max_timeout = parse_seconds(argv[0], "max-timeout", v);
-    } else if (auto v = value("drain-grace"); !v.empty()) {
-      opts.drain_grace = parse_seconds(argv[0], "drain-grace", v);
-    } else if (auto v = value("idle-timeout"); !v.empty()) {
-      opts.idle_timeout = parse_seconds(argv[0], "idle-timeout", v);
-    } else if (auto v = value("max-vars"); !v.empty()) {
-      opts.max_vars = parse_unsigned(argv[0], "max-vars", v);
-    } else if (auto v = value("max-pending"); !v.empty()) {
-      opts.max_pending = parse_u64(argv[0], "max-pending", v);
-    } else if (auto v = value("quota"); !v.empty()) {
-      opts.quota = parse_u64(argv[0], "quota", v);
-    } else if (auto v = value("retry-ms"); !v.empty()) {
-      opts.retry_ms = parse_unsigned(argv[0], "retry-ms", v);
-    } else if (auto v = value("warm"); !v.empty()) {
-      opts.warm_path = v;
-    } else if (auto v = value("persist"); !v.empty()) {
-      opts.persist_path = v;
-    } else {
-      usage(argv[0], "unknown argument '" + arg + "'");
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (opts.transport.consume(arg)) {
+        continue;
+      }
+      if (auto v = flag_value(arg, "engine"); !v.empty()) {
+        opts.engine = v;
+      } else if (auto v = flag_value(arg, "threads"); !v.empty()) {
+        opts.threads = parse_unsigned("threads", v);
+      } else if (auto v = flag_value(arg, "timeout"); !v.empty()) {
+        opts.timeout = parse_seconds("timeout", v);
+      } else if (auto v = flag_value(arg, "max-timeout"); !v.empty()) {
+        opts.max_timeout = parse_seconds("max-timeout", v);
+      } else if (auto v = flag_value(arg, "drain-grace"); !v.empty()) {
+        opts.drain_grace = parse_seconds("drain-grace", v);
+      } else if (auto v = flag_value(arg, "idle-timeout"); !v.empty()) {
+        opts.idle_timeout = parse_seconds("idle-timeout", v);
+      } else if (auto v = flag_value(arg, "max-vars"); !v.empty()) {
+        opts.max_vars = parse_unsigned("max-vars", v);
+      } else if (auto v = flag_value(arg, "max-pending"); !v.empty()) {
+        opts.max_pending = parse_u64("max-pending", v);
+      } else if (auto v = flag_value(arg, "quota"); !v.empty()) {
+        opts.quota = parse_u64("quota", v);
+      } else if (auto v = flag_value(arg, "retry-ms"); !v.empty()) {
+        opts.retry_ms = parse_unsigned("retry-ms", v);
+      } else if (auto v = flag_value(arg, "warm"); !v.empty()) {
+        opts.warm_path = v;
+      } else if (auto v = flag_value(arg, "persist"); !v.empty()) {
+        opts.persist_path = v;
+      } else {
+        throw usage_error{"unknown argument '" + arg + "'"};
+      }
     }
-  }
-  const int transports = (opts.pipe ? 1 : 0) +
-                         (opts.socket_path.empty() ? 0 : 1) +
-                         (opts.listen_spec.empty() ? 0 : 1);
-  if (transports != 1) {
-    usage(argv[0],
-          "pick exactly one of --socket, --listen, --pipe");
+    opts.transport.check();
+  } catch (const usage_error& e) {
+    usage(argv[0], e.what());
   }
   return opts;
-}
-
-stpes::server::stream_listener* g_listener = nullptr;
-
-void on_signal(int) {
-  if (g_listener != nullptr) {
-    g_listener->stop();  // async-signal-safe: atomic + pipe write
-  }
-}
-
-void install_signal_handlers() {
-  struct sigaction sa{};
-  sa.sa_handler = on_signal;
-  sigemptyset(&sa.sa_mask);
-  sigaction(SIGTERM, &sa, nullptr);
-  sigaction(SIGINT, &sa, nullptr);
-  // A client that disconnects mid-reply must cost one session, not the
-  // daemon: with SIGPIPE ignored the write fails with EPIPE, the stream
-  // goes bad, and the session winds down.
-  struct sigaction ign{};
-  ign.sa_handler = SIG_IGN;
-  sigemptyset(&ign.sa_mask);
-  sigaction(SIGPIPE, &ign, nullptr);
 }
 
 }  // namespace
@@ -218,13 +137,7 @@ int main(int argc, char** argv) {
   opts.max_session_requests = cli.quota;
   opts.overload_retry_ms = cli.retry_ms;
 
-  if (util::failpoints_compiled_in()) {
-    const auto armed = util::failpoint_registry::instance().load_from_env();
-    if (armed > 0) {
-      std::cerr << "stpes-serve: armed " << armed
-                << " failpoint(s) from STPES_FAILPOINTS\n";
-    }
-  }
+  server::arm_failpoints_from_env("stpes-serve");
 
   server::synthesis_server server{opts};
 
@@ -242,39 +155,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (cli.pipe) {
-    std::cerr << "stpes-serve: pipe mode, engine=" << cli.engine << ", "
-              << server.synthesizer().num_threads() << " threads\n";
-    server.serve(std::cin, std::cout);
-  } else if (!cli.listen_spec.empty()) {
-    try {
-      const auto spec = server::tcp_listen_spec::parse(cli.listen_spec);
-      server::tcp_socket_server listener{server, spec};
-      g_listener = &listener;
-      install_signal_handlers();
-      std::cerr << "stpes-serve: listening on " << spec.host << ":"
-                << listener.port() << ", engine=" << cli.engine << ", "
-                << server.synthesizer().num_threads() << " threads\n";
-      listener.run();
-      g_listener = nullptr;
-    } catch (const std::exception& e) {
-      std::cerr << "stpes-serve: " << e.what() << "\n";
-      return 1;
-    }
-  } else {
-    try {
-      server::unix_socket_server listener{server, cli.socket_path};
-      g_listener = &listener;
-      install_signal_handlers();
-      std::cerr << "stpes-serve: listening on " << cli.socket_path
-                << ", engine=" << cli.engine << ", "
-                << server.synthesizer().num_threads() << " threads\n";
-      listener.run();
-      g_listener = nullptr;
-    } catch (const std::exception& e) {
-      std::cerr << "stpes-serve: " << e.what() << "\n";
-      return 1;
-    }
+  try {
+    server::serve_daemon(
+        server, cli.transport, "stpes-serve",
+        "engine=" + cli.engine + ", " +
+            std::to_string(server.synthesizer().num_threads()) + " threads");
+  } catch (const std::exception& e) {
+    std::cerr << "stpes-serve: " << e.what() << "\n";
+    return 1;
   }
 
   if (!cli.persist_path.empty()) {

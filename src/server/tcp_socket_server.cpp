@@ -1,6 +1,5 @@
 #include "server/tcp_socket_server.hpp"
 
-#include <arpa/inet.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -9,34 +8,28 @@
 
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
+
+#include "server/client.hpp"
 
 namespace stpes::server {
 
 tcp_listen_spec tcp_listen_spec::parse(const std::string& spec) {
-  const auto colon = spec.rfind(':');
-  if (colon == std::string::npos || colon + 1 == spec.size()) {
+  tcp_listen_spec out;
+  std::optional<std::uint16_t> port;
+  if (!split_host_port(spec, out.host, port) || spec.back() == ':') {
     throw std::runtime_error{"bad listen spec '" + spec +
                              "' (want host:port)"};
   }
-  tcp_listen_spec out;
-  out.host = spec.substr(0, colon);
+  if (!port.has_value()) {
+    throw std::runtime_error{"bad port '" + spec.substr(spec.rfind(':') + 1) +
+                             "' in listen spec '" + spec + "'"};
+  }
   if (out.host == "*") {
     out.host.clear();
   }
-  const std::string port_str = spec.substr(colon + 1);
-  std::size_t pos = 0;
-  unsigned long port = 0;
-  try {
-    port = std::stoul(port_str, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  if (pos != port_str.size() || port > 65535) {
-    throw std::runtime_error{"bad port '" + port_str + "' in listen spec '" +
-                             spec + "'"};
-  }
-  out.port = static_cast<std::uint16_t>(port);
+  out.port = *port;
   return out;
 }
 
@@ -48,20 +41,9 @@ tcp_socket_server::tcp_socket_server(session_host& host,
   addr.sin_port = htons(spec.port);
   if (spec.host.empty()) {
     addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  } else if (::inet_pton(AF_INET, spec.host.c_str(), &addr.sin_addr) != 1) {
-    // Not a dotted quad: resolve the name (e.g. "localhost").
-    addrinfo hints{};
-    hints.ai_family = AF_INET;
-    hints.ai_socktype = SOCK_STREAM;
-    addrinfo* res = nullptr;
-    const int rc = ::getaddrinfo(spec.host.c_str(), nullptr, &hints, &res);
-    if (rc != 0 || res == nullptr) {
-      throw std::runtime_error{"cannot resolve listen host '" + spec.host +
-                               "': " + ::gai_strerror(rc)};
-    }
-    addr.sin_addr =
-        reinterpret_cast<const sockaddr_in*>(res->ai_addr)->sin_addr;
-    ::freeaddrinfo(res);
+  } else if (const int rc = resolve_ipv4(spec.host, addr.sin_addr); rc != 0) {
+    throw std::runtime_error{"cannot resolve listen host '" + spec.host +
+                             "': " + ::gai_strerror(rc)};
   }
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);

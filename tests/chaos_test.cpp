@@ -25,103 +25,28 @@
 
 #include <csignal>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "server/client.hpp"
-#include "server/fd_stream.hpp"
 #include "server/server.hpp"
 #include "server/socket_server.hpp"
 #include "service/chain_io.hpp"
 #include "util/failpoint.hpp"
 
+#include "pipe_session.hpp"
+
 namespace {
 
 using stpes::core::engine;
-using stpes::server::line_client;
 using stpes::server::server_options;
 using stpes::server::synthesis_server;
+using stpes::test_support::pipe_session;
 using stpes::tt::truth_table;
 using stpes::util::failpoint_registry;
 using stpes::util::failpoints_compiled_in;
-
-/// A live session over two POSIX pipes (the daemon's `--pipe` transport);
-/// deliberately a local copy of the server_test helper so the chaos binary
-/// stays self-contained for `--gtest_repeat` runs.
-class pipe_session {
-public:
-  explicit pipe_session(synthesis_server& server) {
-    EXPECT_EQ(::pipe(to_server_), 0);
-    EXPECT_EQ(::pipe(from_server_), 0);
-    server_in_ = std::make_unique<stpes::server::fd_iostream>(to_server_[0]);
-    server_out_ =
-        std::make_unique<stpes::server::fd_iostream>(from_server_[1]);
-    client_in_ =
-        std::make_unique<stpes::server::fd_iostream>(from_server_[0]);
-    client_out_ =
-        std::make_unique<stpes::server::fd_iostream>(to_server_[1]);
-    thread_ = std::thread([&server, this] {
-      server.serve(*server_in_, *server_out_);
-      server_out_->flush();
-      ::close(from_server_[1]);
-      server_write_closed_ = true;
-    });
-    client_ = std::make_unique<line_client>(*client_in_, *client_out_);
-  }
-
-  ~pipe_session() {
-    finish();
-    ::close(to_server_[0]);
-    if (!client_read_closed_) {
-      ::close(from_server_[0]);
-    }
-    if (!server_write_closed_) {
-      ::close(from_server_[1]);
-    }
-  }
-
-  [[nodiscard]] line_client& client() { return *client_; }
-
-  /// Raw client-side write stream, for half-written requests that bypass
-  /// `line_client`'s request/reply discipline.
-  [[nodiscard]] std::ostream& raw_out() { return *client_out_; }
-
-  /// Closes the client's write end (EOF for the server) and joins.
-  void finish() {
-    if (thread_.joinable()) {
-      client_out_->flush();
-      ::close(to_server_[1]);
-      thread_.join();
-    }
-  }
-
-  /// Abandons the connection abruptly: both client fds close with a
-  /// request possibly half-written — the truncated-client fault.
-  void abandon() {
-    if (thread_.joinable()) {
-      client_out_->flush();
-      ::close(to_server_[1]);
-      ::close(from_server_[0]);
-      client_read_closed_ = true;
-      thread_.join();
-    }
-  }
-
-private:
-  int to_server_[2] = {-1, -1};
-  int from_server_[2] = {-1, -1};
-  std::unique_ptr<stpes::server::fd_iostream> server_in_;
-  std::unique_ptr<stpes::server::fd_iostream> server_out_;
-  std::unique_ptr<stpes::server::fd_iostream> client_in_;
-  std::unique_ptr<stpes::server::fd_iostream> client_out_;
-  std::unique_ptr<line_client> client_;
-  std::thread thread_;
-  bool server_write_closed_ = false;  ///< written before join, read after
-  bool client_read_closed_ = false;
-};
 
 class temp_file {
 public:
@@ -342,21 +267,22 @@ TEST_F(Chaos, ChaosAcceptFaultsDelayButNeverDropConnections) {
   ASSERT_TRUE(reg.set("socket_server.accept", "every=2,errno=ECONNABORTED"));
 
   const auto and2 = truth_table::from_hex(2, "8");
+  const auto ep = stpes::server::endpoint::parse(socket_path);
   for (int i = 0; i < 4; ++i) {
-    stpes::server::unix_client client{socket_path};
-    const auto r = client.session().synth(engine::stp, and2);
+    stpes::server::connection conn{ep, 2000};
+    const auto r = conn.client().synth(engine::stp, and2);
     EXPECT_TRUE(r.ok) << r.error;
-    EXPECT_TRUE(client.session().ping());
-    client.session().quit();
+    EXPECT_TRUE(conn.client().ping());
+    conn.client().quit();
   }
   EXPECT_GE(reg.hits("socket_server.accept"), 1u);
   reg.clear_all();
 
   // With the fault cleared the listener serves normally.
   {
-    stpes::server::unix_client client{socket_path};
-    EXPECT_TRUE(client.session().ping());
-    client.session().quit();
+    stpes::server::connection conn{ep, 2000};
+    EXPECT_TRUE(conn.client().ping());
+    conn.client().quit();
   }
   transport.stop();
   accept_thread.join();

@@ -12,10 +12,12 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <csignal>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -156,6 +158,78 @@ TEST_F(ResilientClient, EndpointSpecsParse) {
   EXPECT_THROW(endpoint::parse("host:0"), std::runtime_error);
   EXPECT_THROW(endpoint::parse("host:66000"), std::runtime_error);
   EXPECT_THROW(endpoint::parse("host:12x"), std::runtime_error);
+  // An empty socket path would only fail at the first connect.
+  EXPECT_THROW(endpoint::parse("unix:"), std::runtime_error);
+  EXPECT_THROW(endpoint::parse(""), std::runtime_error);
+}
+
+/// A Unix listener with a zero backlog that accepts nothing by itself:
+/// one queued connect fills the backlog, so the next connect finds it full.
+class full_backlog_listener {
+public:
+  full_backlog_listener()
+      : path_(::testing::TempDir() + "stpes_backlog_" +
+              std::to_string(::getpid()) + ".sock") {
+    ::unlink(path_.c_str());
+    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path_.c_str(), sizeof(addr.sun_path) - 1);
+    EXPECT_EQ(::bind(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                     sizeof(addr)),
+              0);
+    EXPECT_EQ(::listen(fd_, 0), 0);
+    queued_ = stpes::server::connect_endpoint(ep(), 1000);
+  }
+
+  ~full_backlog_listener() {
+    ::close(queued_);
+    ::close(fd_);
+    ::unlink(path_.c_str());
+  }
+
+  [[nodiscard]] endpoint ep() const { return endpoint::parse(path_); }
+  [[nodiscard]] int fd() const { return fd_; }
+
+private:
+  std::string path_;
+  int fd_ = -1;
+  int queued_ = -1;
+};
+
+TEST_F(ResilientClient, ConnectWaitsOutAFullUnixBacklog) {
+  full_backlog_listener listener;
+  int accepted = -1;
+  std::thread acceptor{[&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    accepted = ::accept(listener.fd(), nullptr, nullptr);
+  }};
+  const auto start = std::chrono::steady_clock::now();
+  int fd = -1;
+  EXPECT_NO_THROW(fd = stpes::server::connect_endpoint(listener.ep(), 2000));
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  acceptor.join();
+  EXPECT_GE(fd, 0);
+  EXPECT_GE(accepted, 0);
+  // The connect got through only once the acceptor freed a slot.
+  EXPECT_GE(elapsed, std::chrono::milliseconds(40));
+  ::close(fd);
+  ::close(accepted);
+}
+
+TEST_F(ResilientClient, ConnectToAFullUnixBacklogTimesOut) {
+  full_backlog_listener listener;
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    ::close(stpes::server::connect_endpoint(listener.ep(), 150));
+    ADD_FAILURE() << "connected past a full backlog";
+  } catch (const transport_error& e) {
+    EXPECT_NE(std::string{e.what()}.find("timed out"), std::string::npos)
+        << e.what();
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_GE(elapsed, std::chrono::milliseconds(140));
+  EXPECT_LT(elapsed, std::chrono::milliseconds(2000));
 }
 
 TEST_F(ResilientClient, BackoffScheduleIsDeterministicCappedAndJittered) {

@@ -36,6 +36,8 @@
 #include "tt/truth_table.hpp"
 #include "util/failpoint.hpp"
 
+#include "pipe_session.hpp"
+
 namespace {
 
 using stpes::core::engine;
@@ -49,6 +51,7 @@ using stpes::server::server_options;
 using stpes::server::synthesis_server;
 using stpes::server::tcp_listen_spec;
 using stpes::server::tcp_socket_server;
+using stpes::test_support::pipe_session;
 using stpes::tt::truth_table;
 
 /// One restartable TCP shard.
@@ -144,62 +147,6 @@ std::size_t run_batch_and_verify(line_client& client,
   return not_ok;
 }
 
-/// Runs `router.serve` over POSIX pipes on its own thread and hands the
-/// test a `line_client` talking to it (mirrors server_test's pipe_session).
-class router_session {
-public:
-  explicit router_session(router& r) : router_(r) {
-    EXPECT_EQ(::pipe(to_router_), 0);
-    EXPECT_EQ(::pipe(from_router_), 0);
-    router_in_ =
-        std::make_unique<stpes::server::fd_iostream>(to_router_[0]);
-    router_out_ =
-        std::make_unique<stpes::server::fd_iostream>(from_router_[1]);
-    client_in_ =
-        std::make_unique<stpes::server::fd_iostream>(from_router_[0]);
-    client_out_ =
-        std::make_unique<stpes::server::fd_iostream>(to_router_[1]);
-    thread_ = std::thread([this] {
-      router_.serve(*router_in_, *router_out_);
-      router_out_->flush();
-      ::close(from_router_[1]);
-      router_write_closed_ = true;
-    });
-    client_ = std::make_unique<line_client>(*client_in_, *client_out_);
-  }
-
-  ~router_session() {
-    finish();
-    ::close(to_router_[0]);
-    ::close(from_router_[0]);
-    if (!router_write_closed_) {
-      ::close(from_router_[1]);
-    }
-  }
-
-  [[nodiscard]] line_client& client() { return *client_; }
-
-  void finish() {
-    if (thread_.joinable()) {
-      client_out_->flush();
-      ::close(to_router_[1]);
-      thread_.join();
-    }
-  }
-
-private:
-  router& router_;
-  int to_router_[2] = {-1, -1};
-  int from_router_[2] = {-1, -1};
-  std::unique_ptr<stpes::server::fd_iostream> router_in_;
-  std::unique_ptr<stpes::server::fd_iostream> router_out_;
-  std::unique_ptr<stpes::server::fd_iostream> client_in_;
-  std::unique_ptr<stpes::server::fd_iostream> client_out_;
-  std::unique_ptr<line_client> client_;
-  std::thread thread_;
-  bool router_write_closed_ = false;
-};
-
 class RouteChaos : public ::testing::Test {
 protected:
   void SetUp() override {
@@ -218,7 +165,7 @@ protected:
 TEST_F(RouteChaos, KillAndRestartBetweenBatchesLosesNoRequests) {
   shard a, b, c;
   router r{chaos_router_options({a.spec(), b.spec(), c.spec()})};
-  router_session session{r};
+  pipe_session session{r};
   const auto fns = workload(12);
 
   // Round 1: full fleet — everything succeeds.
@@ -254,7 +201,7 @@ TEST_F(RouteChaos, KillAndRestartBetweenBatchesLosesNoRequests) {
 TEST_F(RouteChaos, KillMidBatchEveryRequestIsAnswered) {
   shard a, b, c;
   router r{chaos_router_options({a.spec(), b.spec(), c.spec()})};
-  router_session session{r};
+  pipe_session session{r};
   const auto fns = workload(24);
 
   // The kill lands somewhere inside the batch (the exact request index is
@@ -276,7 +223,7 @@ TEST_F(RouteChaos, KillMidBatchEveryRequestIsAnswered) {
 TEST_F(RouteChaos, RestartMidBatchIsRiddenOut) {
   shard a, b, c;
   router r{chaos_router_options({a.spec(), b.spec(), c.spec()})};
-  router_session session{r};
+  pipe_session session{r};
   const auto fns = workload(24);
 
   const auto port = c.port();

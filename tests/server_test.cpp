@@ -19,7 +19,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -27,13 +26,13 @@
 #include <vector>
 
 #include "server/client.hpp"
-#include "server/fd_stream.hpp"
-#include "server/resilient_client.hpp"
 #include "server/server.hpp"
 #include "server/socket_server.hpp"
 #include "service/chain_io.hpp"
 #include "util/failpoint.hpp"
 #include "workload/collections.hpp"
+
+#include "pipe_session.hpp"
 
 namespace {
 
@@ -41,6 +40,7 @@ using stpes::core::engine;
 using stpes::server::line_client;
 using stpes::server::server_options;
 using stpes::server::synthesis_server;
+using stpes::test_support::pipe_session;
 using stpes::tt::truth_table;
 
 /// Runs one scripted session and returns the full reply transcript.
@@ -67,63 +67,6 @@ server_options quick_options() {
   opts.num_threads = 2;
   return opts;
 }
-
-/// A live session over two POSIX pipes: the server runs on its own thread
-/// (exactly the daemon's pipe transport), the test drives a `line_client`.
-class pipe_session {
-public:
-  explicit pipe_session(synthesis_server& server) {
-    EXPECT_EQ(::pipe(to_server_), 0);
-    EXPECT_EQ(::pipe(from_server_), 0);
-    server_in_ = std::make_unique<stpes::server::fd_iostream>(to_server_[0]);
-    server_out_ =
-        std::make_unique<stpes::server::fd_iostream>(from_server_[1]);
-    client_in_ =
-        std::make_unique<stpes::server::fd_iostream>(from_server_[0]);
-    client_out_ =
-        std::make_unique<stpes::server::fd_iostream>(to_server_[1]);
-    thread_ = std::thread([&server, this] {
-      server.serve(*server_in_, *server_out_);
-      // Close the write end so a client blocked in a read sees EOF even
-      // when the session ended first (e.g. a drain racing a request).
-      server_out_->flush();
-      ::close(from_server_[1]);
-      server_write_closed_ = true;
-    });
-    client_ = std::make_unique<line_client>(*client_in_, *client_out_);
-  }
-
-  ~pipe_session() {
-    finish();
-    ::close(to_server_[0]);
-    ::close(from_server_[0]);
-    if (!server_write_closed_) {
-      ::close(from_server_[1]);
-    }
-  }
-
-  [[nodiscard]] line_client& client() { return *client_; }
-
-  /// Closes the client's write end (EOF for the server) and joins.
-  void finish() {
-    if (thread_.joinable()) {
-      client_out_->flush();
-      ::close(to_server_[1]);
-      thread_.join();
-    }
-  }
-
-private:
-  int to_server_[2] = {-1, -1};
-  int from_server_[2] = {-1, -1};
-  std::unique_ptr<stpes::server::fd_iostream> server_in_;
-  std::unique_ptr<stpes::server::fd_iostream> server_out_;
-  std::unique_ptr<stpes::server::fd_iostream> client_in_;
-  std::unique_ptr<stpes::server::fd_iostream> client_out_;
-  std::unique_ptr<line_client> client_;
-  std::thread thread_;
-  bool server_write_closed_ = false;  ///< written before join, read after
-};
 
 /// A scratch file removed on scope exit.
 class temp_file {
@@ -770,19 +713,16 @@ TEST(Server, UnixListenerShedsIdleSessionsWithErrAndCountsThem) {
   stpes::server::unix_socket_server transport{server, path};
   std::thread accept_thread{[&transport] { transport.run(); }};
 
-  stpes::server::endpoint ep;  // defaults to a unix-socket endpoint
-  ep.host_or_path = path;
-  const int fd = stpes::server::connect_endpoint(ep, 2000);
   {
-    stpes::server::fd_iostream io{fd};
-    line_client client{io, io};
-    EXPECT_TRUE(client.ping());  // live traffic, then silence
+    stpes::server::connection conn{stpes::server::endpoint::parse(path),
+                                    2000};
+    EXPECT_TRUE(conn.client().ping());  // live traffic, then silence
     std::string line;
-    ASSERT_TRUE(std::getline(io, line));
+    ASSERT_TRUE(std::getline(conn.stream(), line));
     EXPECT_EQ(line, "ERR idle-timeout");
-    EXPECT_FALSE(std::getline(io, line)) << "expected EOF after the shed";
+    EXPECT_FALSE(std::getline(conn.stream(), line))
+        << "expected EOF after the shed";
   }
-  ::close(fd);
   EXPECT_EQ(server.counters().idle_timeouts, 1u);
 
   transport.stop();

@@ -7,13 +7,10 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,8 +19,9 @@
 #include "aig/aig.hpp"
 #include "aig/aiger_io.hpp"
 #include "server/client.hpp"
-#include "server/fd_stream.hpp"
 #include "server/server.hpp"
+
+#include "pipe_session.hpp"
 
 #ifndef STPES_AIG_DATA_DIR
 #define STPES_AIG_DATA_DIR "tests/data/aig"
@@ -34,6 +32,7 @@ namespace {
 using stpes::server::line_client;
 using stpes::server::server_options;
 using stpes::server::synthesis_server;
+using stpes::test_support::pipe_session;
 
 const std::string kXorBenchmark =
     std::string{STPES_AIG_DATA_DIR} + "/xor_two_ways.aag";
@@ -61,60 +60,6 @@ server_options quick_options() {
   opts.num_threads = 2;
   return opts;
 }
-
-/// Same in-process pipe transport as server_test.cpp: the server thread
-/// serves one session, the test drives a line_client.
-class pipe_session {
-public:
-  explicit pipe_session(synthesis_server& server) {
-    EXPECT_EQ(::pipe(to_server_), 0);
-    EXPECT_EQ(::pipe(from_server_), 0);
-    server_in_ = std::make_unique<stpes::server::fd_iostream>(to_server_[0]);
-    server_out_ =
-        std::make_unique<stpes::server::fd_iostream>(from_server_[1]);
-    client_in_ =
-        std::make_unique<stpes::server::fd_iostream>(from_server_[0]);
-    client_out_ =
-        std::make_unique<stpes::server::fd_iostream>(to_server_[1]);
-    thread_ = std::thread([&server, this] {
-      server.serve(*server_in_, *server_out_);
-      server_out_->flush();
-      ::close(from_server_[1]);
-      server_write_closed_ = true;
-    });
-    client_ = std::make_unique<line_client>(*client_in_, *client_out_);
-  }
-
-  ~pipe_session() {
-    finish();
-    ::close(to_server_[0]);
-    ::close(from_server_[0]);
-    if (!server_write_closed_) {
-      ::close(from_server_[1]);
-    }
-  }
-
-  [[nodiscard]] line_client& client() { return *client_; }
-
-  void finish() {
-    if (thread_.joinable()) {
-      client_out_->flush();
-      ::close(to_server_[1]);
-      thread_.join();
-    }
-  }
-
-private:
-  int to_server_[2] = {-1, -1};
-  int from_server_[2] = {-1, -1};
-  std::unique_ptr<stpes::server::fd_iostream> server_in_;
-  std::unique_ptr<stpes::server::fd_iostream> server_out_;
-  std::unique_ptr<stpes::server::fd_iostream> client_in_;
-  std::unique_ptr<stpes::server::fd_iostream> client_out_;
-  std::unique_ptr<line_client> client_;
-  std::thread thread_;
-  bool server_write_closed_ = false;
-};
 
 /// A scratch AIGER file removed on scope exit.
 class temp_aiger {

@@ -16,8 +16,6 @@
 #include <thread>
 
 #include "server/client.hpp"
-#include "server/fd_stream.hpp"
-#include "server/resilient_client.hpp"
 #include "server/server.hpp"
 #include "server/tcp_socket_server.hpp"
 #include "tt/truth_table.hpp"
@@ -25,8 +23,8 @@
 namespace {
 
 using stpes::core::engine;
+using stpes::server::connection;
 using stpes::server::endpoint;
-using stpes::server::line_client;
 using stpes::server::server_options;
 using stpes::server::synthesis_server;
 using stpes::server::tcp_listen_spec;
@@ -74,15 +72,6 @@ private:
   std::thread thread_;
 };
 
-/// A raw connected socket wrapped in an iostream (no client machinery).
-struct raw_conn {
-  explicit raw_conn(const endpoint& ep)
-      : fd(stpes::server::connect_endpoint(ep, 2000)), io(fd) {}
-  ~raw_conn() { ::close(fd); }
-  int fd;
-  stpes::server::fd_iostream io;
-};
-
 class TcpServer : public ::testing::Test {
 protected:
   void SetUp() override { std::signal(SIGPIPE, SIG_IGN); }
@@ -114,8 +103,8 @@ TEST_F(TcpServer, EphemeralPortIsResolvedAndNonZero) {
 
 TEST_F(TcpServer, SynthRoundTripOverTcp) {
   tcp_daemon daemon;
-  raw_conn conn{daemon.ep()};
-  line_client client{conn.io, conn.io};
+  connection conn{daemon.ep(), 2000};
+  auto& client = conn.client();
 
   EXPECT_TRUE(client.ping());
   const auto maj = truth_table::from_hex(3, "e8");
@@ -133,8 +122,8 @@ TEST_F(TcpServer, ConcurrentTcpClientsGetConsistentAnswers) {
   std::vector<std::string> raws(4);
   for (std::size_t i = 0; i < raws.size(); ++i) {
     threads.emplace_back([&, i] {
-      raw_conn conn{daemon.ep()};
-      line_client client{conn.io, conn.io};
+      connection conn{daemon.ep(), 2000};
+      auto& client = conn.client();
       const auto reply = client.synth(engine::stp, f);
       EXPECT_TRUE(reply.ok);
       // The head carries a per-session request id; the chain lines are
@@ -159,11 +148,12 @@ TEST_F(TcpServer, HalfOpenConnectionIsShedWithIdleTimeout) {
 
   // Connect and never write a byte — the bounded handshake: the read
   // deadline starts at accept, so the session is shed, not pinned.
-  raw_conn conn{daemon.ep()};
+  connection conn{daemon.ep(), 2000};
   std::string line;
-  ASSERT_TRUE(std::getline(conn.io, line));
+  ASSERT_TRUE(std::getline(conn.stream(), line));
   EXPECT_EQ(line, "ERR idle-timeout");
-  EXPECT_FALSE(std::getline(conn.io, line)) << "expected EOF after the shed";
+  EXPECT_FALSE(std::getline(conn.stream(), line))
+      << "expected EOF after the shed";
 }
 
 TEST_F(TcpServer, IdleAfterTrafficIsShedAndCounted) {
@@ -171,17 +161,17 @@ TEST_F(TcpServer, IdleAfterTrafficIsShedAndCounted) {
   opts.idle_timeout_seconds = 0.2;
   tcp_daemon daemon{opts};
 
-  raw_conn conn{daemon.ep()};
-  line_client client{conn.io, conn.io};
+  connection conn{daemon.ep(), 2000};
+  auto& client = conn.client();
   EXPECT_TRUE(client.ping());  // live traffic first, then silence
   std::string line;
-  ASSERT_TRUE(std::getline(conn.io, line));
+  ASSERT_TRUE(std::getline(conn.stream(), line));
   EXPECT_EQ(line, "ERR idle-timeout");
 
   // The shed is visible in the daemon's counters.
   EXPECT_EQ(daemon.server().counters().idle_timeouts, 1u);
-  raw_conn probe{daemon.ep()};
-  line_client stats_client{probe.io, probe.io};
+  connection probe{daemon.ep(), 2000};
+  auto& stats_client = probe.client();
   const auto json = stats_client.stats_json();
   EXPECT_NE(json.find("\"idle_timeouts\":1"), std::string::npos) << json;
   stats_client.quit();
@@ -189,22 +179,21 @@ TEST_F(TcpServer, IdleAfterTrafficIsShedAndCounted) {
 
 TEST_F(TcpServer, StopDrainsConnectedIdleClients) {
   tcp_daemon daemon;
-  raw_conn conn{daemon.ep()};
-  line_client client{conn.io, conn.io};
+  connection conn{daemon.ep(), 2000};
+  auto& client = conn.client();
   EXPECT_TRUE(client.ping());
   // The client sits idle (blocked server-side in read); stop() must
   // unblock that session and return — the test hanging IS the failure.
   daemon.stop();
   std::string line;
-  EXPECT_FALSE(std::getline(conn.io, line));
+  EXPECT_FALSE(std::getline(conn.stream(), line));
 }
 
 TEST_F(TcpServer, ShutdownVerbStopsTheListener) {
   tcp_daemon daemon;
   {
-    raw_conn conn{daemon.ep()};
-    line_client client{conn.io, conn.io};
-    client.shutdown();
+    connection conn{daemon.ep(), 2000};
+    conn.client().shutdown();
   }
   daemon.stop();  // must already be stopping; join promptly
   EXPECT_TRUE(daemon.server().shutdown_requested());

@@ -53,15 +53,15 @@ bool is_pruned_valid(const fence& f) {
   if (f.widths.empty() || f.widths.back() != 1) {
     return false;  // single output: exactly one top node
   }
-  // Fanin capacity: every node at level i must be used by some node above,
-  // and nodes above level i provide 2 * (#nodes above) fanin slots in
-  // total, of which the level directly above must absorb at least one per
-  // node (levels are "real").  The simple necessary conditions used here:
-  //   width[i] <= 2 * sum(width[j] for j > i)   (somebody consumes it)
-  //   width[i] >= 1                             (by construction)
+  // Fanin capacity: every node at level i must be used by some node above.
+  // The nodes above level i provide 2 * above fanin slots, and all of them
+  // but the top node need a consumer among themselves, which takes
+  // above - 1 of those slots.  So:
+  //   width[i] <= above + 1   (somebody consumes it)
+  //   width[i] >= 1           (by construction)
   unsigned above = 0;
   for (std::size_t i = f.widths.size(); i-- > 0;) {
-    if (i + 1 < f.widths.size() && f.widths[i] > 2 * above) {
+    if (i + 1 < f.widths.size() && f.widths[i] > above + 1) {
       return false;
     }
     above += f.widths[i];

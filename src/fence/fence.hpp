@@ -8,7 +8,11 @@
 ///   * the top level holds exactly one node (single output), and
 ///   * a level may not hold more nodes than the levels above it can consume
 ///     (each node above contributes two fanin slots, and every node must
-///     drive at least one node on a higher level).
+///     drive at least one node on a higher level — including the nodes
+///     above, which leaves `above + 1` slots for the level).
+///
+/// For k <= 8 every pruned fence yields at least one DAG topology (at
+/// k = 9 some do not: the rule is necessary, not sufficient).
 ///
 /// For k = 3 this leaves {(2,1), (1,1,1)} of the unpruned
 /// {(3), (2,1), (1,2), (1,1,1)}, matching Fig. 2.
@@ -56,7 +60,8 @@ bool is_pruned_valid(const fence& f);
 /// `max_outputs` outputs may leave up to that many gates without fanout
 /// (each dangling gate must be an output signal), so a level may exceed
 /// the fanin capacity of the levels above by the remaining dangle budget.
-/// `is_pruned_valid_multi(f, 1) == is_pruned_valid(f)`.
+/// It counts all `2 * above` slots as free, so at one output it keeps a
+/// superset of `is_pruned_valid` (e.g. the DAG-less `(4,1,1)`).
 bool is_pruned_valid_multi(const fence& f, unsigned max_outputs);
 
 /// The pruned fence family for chains with up to `max_outputs` outputs.

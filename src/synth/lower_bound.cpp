@@ -1,11 +1,13 @@
 #include "synth/lower_bound.hpp"
 
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "fence/fence.hpp"
 #include "sat/solver.hpp"
 #include "synth/ssv_encoding.hpp"
+#include "tt/dsd.hpp"
 
 namespace stpes::synth {
 
@@ -160,13 +162,57 @@ void add_symvar_multi(sat::solver& solver, const ssv_encoding& enc,
   }
 }
 
+/// The read-once decision for a completely specified target `f` of
+/// support s at `num_gates` <= s − 1: fewer than s − 1 gates cannot read s
+/// inputs, and s − 1 gates reading s inputs read every signal exactly
+/// once, so they exist iff `f` is fully DSD.  The witness is the DSD's
+/// contraction chain, checked for size and function before it is handed
+/// out.  Returns no result above s − 1 gates (or, defensively, on a
+/// witness that fails its check): the CNF path decides those.
+std::optional<probe_result> decide_read_once(const tt::truth_table& f,
+                                             unsigned num_gates) {
+  const unsigned support = f.support_size();
+  if (num_gates + 1 > support) {
+    return std::nullopt;
+  }
+  probe_result out;
+  out.verdict = probe_verdict::infeasible;
+  if (num_gates + 1 < support) {
+    return out;
+  }
+  const auto dsd = tt::analyze_dsd(f);
+  if (dsd.kind != tt::dsd_kind::full) {
+    return out;
+  }
+  chain::boolean_chain witness{f.num_vars()};
+  for (const auto& block : dsd.blocks) {
+    witness.add_step(block.op, block.fanin[0], block.fanin[1]);
+  }
+  witness.set_output(f.num_vars() + witness.num_steps() - 1,
+                     dsd.residue.get_bit(0));
+  if (witness.num_steps() != num_gates || witness.simulate() != f) {
+    return std::nullopt;
+  }
+  out.verdict = probe_verdict::feasible;
+  out.witness = std::move(witness);
+  return out;
+}
+
 }  // namespace
 
 probe_result lower_bound_prober::probe(const tt::isf& target,
                                        unsigned num_gates,
                                        core::run_context* ctx) const {
   probe_result out;
-  if (num_gates == 0 || target.num_vars() > options_.max_vars) {
+  if (num_gates == 0) {
+    return out;  // unknown
+  }
+  if (target.careset().is_const1()) {
+    if (auto decided = decide_read_once(target.onset(), num_gates)) {
+      return std::move(*decided);
+    }
+  }
+  if (target.num_vars() > options_.max_vars) {
     return out;  // unknown
   }
 

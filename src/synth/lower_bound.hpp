@@ -1,5 +1,15 @@
 /// \file lower_bound.hpp
-/// \brief CNF infeasibility probe: "no k-gate 2-LUT chain computes this ISF".
+/// \brief Infeasibility probe: "no k-gate 2-LUT chain computes this ISF".
+///
+/// A completely specified target whose onset has support s is decided
+/// without a solver at k <= s − 1 gates: k gates read at most k + 1
+/// signals, so below s − 1 there is no chain, and at s − 1 every signal is
+/// read exactly once — the chain is a tree, which exists iff the target is
+/// read-once (fully DSD into 2-input blocks).  That is the paper's "two
+/// unique quartering parts" test (`tt::analyze_dsd`), applied once to the
+/// whole target; its contraction chain is the witness.  This decision has
+/// no size cap.  Everything else — larger k, ISFs with a restricted care
+/// set, and `probe_multi` — takes the CNF path below.
 ///
 /// The STP sweep enumerates *all* optimum chains of a level, but proving
 /// that a level has *no* chain at all is cheaper as a single CNF call per
@@ -31,8 +41,8 @@
 ///     is the encoder's own `use_all_steps` option.
 ///
 /// The probe answers `feasible` / `infeasible` / `unknown`; `unknown`
-/// (conflict budget or deadline hit, or the instance is above
-/// `max_vars`) must be treated as *feasible* by callers — the sweep then
+/// (conflict budget or deadline hit, or a CNF question above `max_vars`)
+/// must be treated as *feasible* by callers — the sweep then
 /// decides the level exactly, so the probe can only ever skip work, never
 /// change results.
 
@@ -59,24 +69,29 @@ struct lower_bound_options {
   /// machine-independent, so a budget cutoff keeps the probe's verdicts —
   /// and hence the `probe_*` counters in probe_sweep mode — deterministic.
   std::uint64_t conflict_budget = 100000;
-  /// Skip the probe (verdict `unknown`) above this support size; the CNF
-  /// grows with 2^n rows and stops paying for itself.
+  /// Skip the CNF path (verdict `unknown`) above this variable count; the
+  /// CNF grows with 2^n rows and stops paying for itself.  The read-once
+  /// decision ignores it.
   unsigned max_vars = 6;
 };
 
 /// Probe verdict for one (ISF, gate count) question.
 enum class probe_verdict {
-  feasible,    ///< some pruned fence admits a k-gate chain (SAT witness)
-  infeasible,  ///< every pruned fence of k gates refuted (UNSAT proofs)
+  feasible,    ///< a k-gate chain exists (read-once or SAT witness)
+  infeasible,  ///< no k-gate chain: support bound, read-once test, or
+               ///< every pruned fence of k gates refuted (UNSAT proofs)
   unknown      ///< budget/deadline/size cutoff — treat as feasible
 };
 
 /// Outcome of one probe call.
 struct probe_result {
   probe_verdict verdict = probe_verdict::unknown;
-  /// CNF solver calls made (== pruned fences attempted).
+  /// CNF solver calls made (== pruned fences attempted; 0 when the
+  /// read-once test decided).
   std::uint64_t solver_calls = 0;
-  /// On `feasible`: the chain decoded from the SAT model.  A deadline-cut
+  /// On `feasible`: a chain of exactly k steps computing the target,
+  /// verified by simulation (read-once) or decoded from the SAT model.  A
+  /// deadline-cut
   /// sweep of the winning level can fall back on it — the smaller levels
   /// are refuted, so this single chain already proves the optimum.
   std::optional<chain::boolean_chain> witness;
@@ -90,11 +105,12 @@ public:
       : options_(options) {}
 
   /// Decides whether any `num_gates`-gate chain satisfies `target`.
-  /// Sound for the ascending level loop: `infeasible` is only
+  /// Sound for the ascending level loop: a CNF `infeasible` is only
   /// trustworthy when every smaller gate count was already refuted
-  /// (the symmetry-break repairs may move a chain to a smaller level).
-  /// `ctx` (optional) supplies deadline/cancel polling and receives
-  /// `probe_calls` and SAT-stage counters.
+  /// (the symmetry-break repairs may move a chain to a smaller level);
+  /// a read-once verdict holds on its own.  `ctx` (optional) supplies
+  /// deadline/cancel polling and receives `probe_calls` (CNF solver calls
+  /// only) and SAT-stage counters.
   [[nodiscard]] probe_result probe(const tt::isf& target, unsigned num_gates,
                                    core::run_context* ctx = nullptr) const;
 

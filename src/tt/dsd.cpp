@@ -3,26 +3,35 @@
 #include <array>
 #include <cassert>
 #include <optional>
+#include <utility>
 #include <vector>
 
 namespace stpes::tt {
 
 namespace {
 
-/// Attempts to contract support variables (i, j) of `f` (which must be
-/// shrunk to its support) into a single fresh variable.  On success returns
-/// the contracted function, shrunk to its support again.
-std::optional<truth_table> try_contract_pair(const truth_table& f, unsigned i,
+/// A successful pair contraction: the contracted function (shrunk to its
+/// support, the fresh variable in place of i and j dropped) and the
+/// block's LUT over (x_i, x_j).
+struct contraction {
+  truth_table function;
+  unsigned op = 0;
+};
+
+/// Attempts to contract support variables i < j of `f` (which must be
+/// shrunk to its support) into a single fresh variable.
+std::optional<contraction> try_contract_pair(const truth_table& f, unsigned i,
                                              unsigned j) {
   const std::array<truth_table, 4> cof = {
       f.cofactor0(j).cofactor0(i), f.cofactor0(j).cofactor1(i),
       f.cofactor1(j).cofactor0(i), f.cofactor1(j).cofactor1(i)};
   // Collect distinct cofactors; more than two means (i, j) is not a block
-  // (the "two unique quartering parts" test).
-  int index_a = 0;
+  // (the "two unique quartering parts" test).  The block's LUT is 1 on the
+  // cofactors of the second value, so it is normal.
   int index_b = -1;
+  unsigned op = 0;
   for (int c = 1; c < 4; ++c) {
-    if (cof[c] == cof[index_a]) {
+    if (cof[c] == cof[0]) {
       continue;
     }
     if (index_b < 0) {
@@ -30,6 +39,7 @@ std::optional<truth_table> try_contract_pair(const truth_table& f, unsigned i,
     } else if (cof[c] != cof[index_b]) {
       return std::nullopt;
     }
+    op |= 1u << c;
   }
   if (index_b < 0) {
     // All four equal: f does not depend on i or j, impossible when f is
@@ -44,9 +54,13 @@ std::optional<truth_table> try_contract_pair(const truth_table& f, unsigned i,
   for (std::uint64_t t = 0; t < f.num_bits(); ++t) {
     const bool z = (t >> i) & 1;
     g.set_bit(t, z ? cof[static_cast<unsigned>(index_b)].get_bit(t)
-                   : cof[static_cast<unsigned>(index_a)].get_bit(t));
+                   : cof[0].get_bit(t));
   }
-  return g.shrink_to_support();
+  // g still depends on z and on every variable but x_j (f did), so the
+  // shrink drops exactly position j.
+  contraction out{g.shrink_to_support(), op};
+  assert(out.function.num_vars() + 1 == f.num_vars());
+  return out;
 }
 
 /// Attempts to peel a single literal off the top of `f` (shrunk to
@@ -75,7 +89,10 @@ std::optional<truth_table> try_peel_literal(const truth_table& f,
 
 dsd_analysis analyze_dsd(const truth_table& function) {
   dsd_analysis result;
-  truth_table f = function.shrink_to_support();
+  // signal[v]: the chain signal current variable v stands for — one of
+  // the function's inputs, or function.num_vars() + k for block k.
+  std::vector<unsigned> signal;
+  truth_table f = function.shrink_to_support(&signal);
   result.original_support = f.num_vars();
 
   if (result.original_support == 0) {
@@ -91,19 +108,36 @@ dsd_analysis analyze_dsd(const truth_table& function) {
   }
 
   bool progressed = true;
-  while (progressed && f.num_vars() > 2) {
+  while (progressed && f.num_vars() > 1) {
     progressed = false;
     for (unsigned j = 1; j < f.num_vars() && !progressed; ++j) {
       for (unsigned i = 0; i < j && !progressed; ++i) {
-        if (auto contracted = try_contract_pair(f, i, j)) {
-          f = std::move(*contracted);
-          ++result.contractions;
-          progressed = true;
+        auto contracted = try_contract_pair(f, i, j);
+        if (!contracted) {
+          continue;
         }
+        dsd_block block{contracted->op, {signal[i], signal[j]}};
+        if (block.fanin[0] > block.fanin[1]) {
+          // Swap the LUT's operands: exchange its (a=1,b=0) and (a=0,b=1)
+          // rows.
+          std::swap(block.fanin[0], block.fanin[1]);
+          block.op = (block.op & 0x9u) | ((block.op & 0x2u) << 1) |
+                     ((block.op & 0x4u) >> 1);
+        }
+        result.blocks.push_back(block);
+        signal[i] = function.num_vars() +
+                    static_cast<unsigned>(result.blocks.size()) - 1;
+        signal.erase(signal.begin() + j);
+        f = std::move(contracted->function);
+        ++result.contractions;
+        progressed = true;
       }
     }
     for (unsigned v = 0; v < f.num_vars() && !progressed; ++v) {
       if (auto peeled = try_peel_literal(f, v)) {
+        // The residual g keeps every variable but v (f = op(x_v, g) with
+        // f depending on all of them).
+        signal.erase(signal.begin() + v);
         f = std::move(*peeled);
         ++result.contractions;
         progressed = true;
@@ -113,8 +147,11 @@ dsd_analysis analyze_dsd(const truth_table& function) {
 
   result.residue = f;
   result.residue_support = f.num_vars();
-  if (f.num_vars() <= 2) {
-    // A residue of <= 2 variables is itself a 2-input block.
+  // Every 2-variable function is a block, so the loop only stops early on
+  // a residue of at least 3 variables.  A peel only happens when no pair is
+  // contractible, which a read-once function always has, so `full` never
+  // involves one.
+  if (f.num_vars() == 1) {
     result.kind = dsd_kind::full;
   } else if (result.contractions > 0) {
     result.kind = dsd_kind::partial;

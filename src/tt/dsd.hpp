@@ -19,8 +19,19 @@
 /// exact synthesis over 2-LUTs cares about, and what our generators emit),
 /// greedy contraction is a decision procedure: any contractible pair is part
 /// of *some* DSD tree, so greedy choices never block later contractions.
+///
+/// The analysis records every pair contraction as a 2-input block over the
+/// function's own variables.  For a fully DSD function of support s these
+/// s − 1 blocks, read bottom-up, are a read-once Boolean chain, and since a
+/// chain of s − 1 gates reading s inputs must read every signal once, the
+/// function has an (s − 1)-gate chain exactly when it is fully DSD.  The
+/// synthesis engine's lower-bound probe (synth/lower_bound) decides that
+/// level from this analysis instead of a SAT call.
 
 #pragma once
+
+#include <array>
+#include <vector>
 
 #include "tt/truth_table.hpp"
 
@@ -35,13 +46,30 @@ enum class dsd_kind {
   none       ///< no 2-input disjoint block at all (prime function)
 };
 
+/// One contracted 2-input block, in `boolean_chain` step form: `op` is a
+/// 4-bit LUT over (fanin[0], fanin[1]) with the bit-(b<<1|a) convention of
+/// `apply_binary_op`, and always normal (bit 0 clear).  Signals 0..n-1 are
+/// the analysed function's variables, n + k is block k; fanin[0] <
+/// fanin[1].
+struct dsd_block {
+  unsigned op = 0;
+  std::array<unsigned, 2> fanin{0, 0};
+};
+
 /// Detailed result of the greedy DSD contraction.
 struct dsd_analysis {
   dsd_kind kind = dsd_kind::constant;
   unsigned original_support = 0;  ///< support size of the input function
   unsigned residue_support = 0;   ///< support size of the prime residue
-  unsigned contractions = 0;      ///< number of 2-input blocks contracted
-  truth_table residue;            ///< the prime residue (shrunk to support)
+  /// Blocks contracted, counting literals peeled off a prime residue's
+  /// wrapper (those have no entry in `blocks`).
+  unsigned contractions = 0;
+  /// The residue shrunk to its support: a prime block, or for `full` and
+  /// `literal` the one remaining literal (complemented iff bit 0 is set).
+  truth_table residue;
+  /// Pair contractions in order.  For `full` they form the read-once
+  /// chain: the last block computes the residue's variable.
+  std::vector<dsd_block> blocks;
 };
 
 /// Runs the greedy contraction described above.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "fence/dag.hpp"
 
@@ -46,13 +47,35 @@ TEST(Fence, PruningRules) {
   EXPECT_FALSE(is_pruned_valid(fence{{1, 2}}));    // top level too wide
   EXPECT_TRUE(is_pruned_valid(fence{{2, 1}}));
   EXPECT_TRUE(is_pruned_valid(fence{{1, 1, 1}}));
-  EXPECT_FALSE(is_pruned_valid(fence{{3, 1}}));    // 3 > 2 * 1 above
+  EXPECT_FALSE(is_pruned_valid(fence{{3, 1}}));    // 3 > 1 + 1 slots
   EXPECT_TRUE(is_pruned_valid(fence{{2, 2, 1}}));
   EXPECT_TRUE(is_pruned_valid(fence{{4, 2, 1}}));
-  // (5,2,1): 5 <= 2 * (2 + 1) fanin slots above — still valid.
-  EXPECT_TRUE(is_pruned_valid(fence{{5, 2, 1}}));
-  // (7,2,1): 7 > 2 * (2 + 1) — no way to consume seven nodes above.
+  // (5,2,1): the 3 nodes above have 6 fanin slots, but the top spends both
+  // of its own on the two middle nodes, leaving 3 + 1 = 4 for the bottom.
+  EXPECT_FALSE(is_pruned_valid(fence{{5, 2, 1}}));
+  // (4,1,1): the middle node takes one of the top's slots, leaving 3.
+  EXPECT_FALSE(is_pruned_valid(fence{{4, 1, 1}}));
+  EXPECT_FALSE(is_pruned_valid(fence{{1, 4, 1, 1}}));
   EXPECT_FALSE(is_pruned_valid(fence{{7, 2, 1}}));
+}
+
+TEST(Fence, PrunedFencesAreExactlyTheFencesWithADag) {
+  // Up to 8 gates the pruning rule is exact on single-output DAGs: it
+  // keeps a fence iff DAG generation produces at least one topology for it.
+  // No fence the probe or the sweep visits is DAG-less.
+  for (unsigned k = 1; k <= 8; ++k) {
+    std::set<std::string> pruned;
+    for (const auto& f : pruned_fences(k)) {
+      pruned.insert(f.to_string());
+    }
+    std::set<std::string> with_dag;
+    for (const auto& f : all_fences(k)) {
+      if (!generate_dags(f).empty()) {
+        with_dag.insert(f.to_string());
+      }
+    }
+    EXPECT_EQ(pruned, with_dag) << "k = " << k;
+  }
 }
 
 TEST(Fence, PrunedFencesSubsetOfAll) {

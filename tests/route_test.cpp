@@ -8,7 +8,11 @@
 /// listeners use — so routing decisions, failover, and degraded-mode BUSY
 /// replies are observable without any listener in front of the router.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <csignal>
@@ -207,6 +211,39 @@ struct shard {
   std::thread thread;
 };
 
+/// Holds a dead shard's port closed for the rest of a test: a bound TCP
+/// socket that never listens.  Connects to the port get ECONNREFUSED, and
+/// no other process (say, a concurrently running test binary) can take the
+/// port and answer requests meant for the dead shard.  SO_REUSEADDR lets
+/// the bind through the old listener's TIME_WAIT connections.
+class port_holder {
+public:
+  explicit port_holder(std::uint16_t port)
+      : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    const int one = 1;
+    ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    bound_ = fd_ >= 0 && ::bind(fd_, reinterpret_cast<sockaddr*>(&addr),
+                                sizeof addr) == 0;
+  }
+  ~port_holder() {
+    if (fd_ >= 0) {
+      ::close(fd_);
+    }
+  }
+  port_holder(const port_holder&) = delete;
+  port_holder& operator=(const port_holder&) = delete;
+
+  [[nodiscard]] bool bound() const { return bound_; }
+
+private:
+  int fd_;
+  bool bound_ = false;
+};
+
 router_options quick_router_options(const std::vector<std::string>& specs) {
   router_options opts;
   opts.backends = specs;
@@ -308,7 +345,10 @@ TEST_F(Route, FailoverServesKeysOfADeadShard) {
   EXPECT_EQ(r.counters().routed_ok, hexes.size());
 
   // Kill one shard; every key must still get an OK (ring failover).
+  const auto dead_port = b.port();
   b.stop();
+  const port_holder hold{dead_port};
+  ASSERT_TRUE(hold.bound());
   const auto out = run_route_session(r, script);
   const auto lines = split_lines(out);
   unsigned oks = 0;
@@ -325,8 +365,14 @@ TEST_F(Route, AllBackendsDownDegradesToBusyWithComputedHint) {
   auto opts = quick_router_options({a.spec(), b.spec()});
   opts.fail_threshold = 1;
   router r{opts};
+  const auto port_a = a.port();
+  const auto port_b = b.port();
   a.stop();
   b.stop();
+  const port_holder hold_a{port_a};
+  const port_holder hold_b{port_b};
+  ASSERT_TRUE(hold_a.bound());
+  ASSERT_TRUE(hold_b.bound());
 
   const auto out =
       run_route_session(r, "SYNTH stp 3 e8\nSYNTH stp 3 96\nQUIT\n");

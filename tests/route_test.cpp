@@ -3,17 +3,16 @@
 ///
 /// The ring and health tracker are tested as pure state machines (explicit
 /// time points, no sleeping).  The router end-to-end tests run a real
-/// 3-shard fleet of TCP daemons on ephemeral ports and drive the router
-/// through scripted iostream sessions — the same `session_host` seam the
+/// fleet of TCP daemons on ephemeral ports (a shard that a test kills
+/// listens on a private Unix socket instead) and drive the router through
+/// scripted iostream sessions — the same `session_host` seam the
 /// listeners use — so routing decisions, failover, and degraded-mode BUSY
 /// replies are observable without any listener in front of the router.
 
-#include <arpa/inet.h>
 #include <gtest/gtest.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <memory>
@@ -28,6 +27,7 @@
 #include "route/router.hpp"
 #include "server/protocol.hpp"
 #include "server/server.hpp"
+#include "server/socket_server.hpp"
 #include "server/tcp_socket_server.hpp"
 #include "service/chain_io.hpp"
 #include "tt/npn.hpp"
@@ -179,16 +179,26 @@ TEST(RouteKey, NpnClassmatesShareAKey) {
 
 // ---- router end to end ----
 
-/// One TCP daemon of the test fleet, restartable on a pinned port.
+/// One daemon of the test fleet: TCP on 127.0.0.1 (restartable on a
+/// pinned port), or a Unix socket at a path.
 struct shard {
   explicit shard(std::uint16_t port = 0) {
-    server_options opts;
-    opts.default_timeout_seconds = 60.0;
-    opts.num_threads = 2;
-    opts.drain_grace_seconds = 0.1;
-    daemon = std::make_unique<synthesis_server>(opts);
-    listener = std::make_unique<tcp_socket_server>(
+    auto tcp = std::make_unique<tcp_socket_server>(
         *daemon, tcp_listen_spec{"127.0.0.1", port});
+    port_ = tcp->port();
+    spec_ = "127.0.0.1:" + std::to_string(port_);
+    listener = std::move(tcp);
+    thread = std::thread{[this] { listener->run(); }};
+  }
+
+  /// A shard that a test kills stays dead on a Unix socket: the socket
+  /// file outlives `stop()` (connects to it are refused) and its path is
+  /// private to this process, so no other process can start answering
+  /// for the dead shard.  A freed TCP port offers no such guarantee.
+  explicit shard(const std::string& socket_path) {
+    listener = std::make_unique<stpes::server::unix_socket_server>(
+        *daemon, socket_path);
+    spec_ = "unix:" + socket_path;
     thread = std::thread{[this] { listener->run(); }};
   }
 
@@ -201,48 +211,31 @@ struct shard {
     }
   }
 
-  [[nodiscard]] std::uint16_t port() const { return listener->port(); }
-  [[nodiscard]] std::string spec() const {
-    return "127.0.0.1:" + std::to_string(port());
+  [[nodiscard]] std::uint16_t port() const { return port_; }
+  [[nodiscard]] const std::string& spec() const { return spec_; }
+
+  static std::unique_ptr<synthesis_server> make_daemon() {
+    server_options opts;
+    opts.default_timeout_seconds = 60.0;
+    opts.num_threads = 2;
+    opts.drain_grace_seconds = 0.1;
+    return std::make_unique<synthesis_server>(opts);
   }
 
-  std::unique_ptr<synthesis_server> daemon;
-  std::unique_ptr<tcp_socket_server> listener;
+  std::unique_ptr<synthesis_server> daemon = make_daemon();
+  std::unique_ptr<stpes::server::stream_listener> listener;
   std::thread thread;
-};
-
-/// Holds a dead shard's port closed for the rest of a test: a bound TCP
-/// socket that never listens.  Connects to the port get ECONNREFUSED, and
-/// no other process (say, a concurrently running test binary) can take the
-/// port and answer requests meant for the dead shard.  SO_REUSEADDR lets
-/// the bind through the old listener's TIME_WAIT connections.
-class port_holder {
-public:
-  explicit port_holder(std::uint16_t port)
-      : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
-    const int one = 1;
-    ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    bound_ = fd_ >= 0 && ::bind(fd_, reinterpret_cast<sockaddr*>(&addr),
-                                sizeof addr) == 0;
-  }
-  ~port_holder() {
-    if (fd_ >= 0) {
-      ::close(fd_);
-    }
-  }
-  port_holder(const port_holder&) = delete;
-  port_holder& operator=(const port_holder&) = delete;
-
-  [[nodiscard]] bool bound() const { return bound_; }
 
 private:
-  int fd_;
-  bool bound_ = false;
+  std::uint16_t port_ = 0;
+  std::string spec_;
 };
+
+/// A Unix socket path no other process uses: pid plus a per-test tag.
+std::string private_socket_path(const std::string& tag) {
+  return "/tmp/stpes_route_" + std::to_string(::getpid()) + "_" + tag +
+         ".sock";
+}
 
 router_options quick_router_options(const std::vector<std::string>& specs) {
   router_options opts;
@@ -264,6 +257,13 @@ std::string run_route_session(router& r, const std::string& input) {
   std::ostringstream out;
   r.serve(in, out);
   return out.str();
+}
+
+/// The backend index `r`'s ring homes a SYNTH of `f` on.
+std::size_t home_of(const router& r, const truth_table& f) {
+  stpes::server::synth_args args;
+  args.function = f;
+  return r.ring().home(fnv1a64(router::request_key(args)));
 }
 
 std::vector<std::string> split_lines(const std::string& text) {
@@ -326,53 +326,61 @@ TEST_F(Route, SameClassAlwaysHitsTheSameShard) {
 }
 
 TEST_F(Route, FailoverServesKeysOfADeadShard) {
-  shard a, b, c;
+  shard a, c;
+  shard b{private_socket_path("failover_b")};
   router r{quick_router_options({a.spec(), b.spec(), c.spec()})};
 
-  // Route one request per 3-input class to spread across all shards.
-  std::vector<std::string> hexes;
+  // One request per 3-input class spreads across all shards, but the ring
+  // (built on this run's endpoints) may home none of those few classes on
+  // b: then the first 4-input function it homes there joins the script.
+  std::vector<truth_table> functions;
   for (unsigned v = 0; v < 256; v += 7) {
-    std::ostringstream os;
-    os << std::hex << (v < 16 ? "0" : "") << v;
-    hexes.push_back(os.str());
+    const std::uint64_t word = v;
+    functions.push_back(truth_table::from_words(3, &word, 1));
   }
+  const auto homed_on_b = [&] {
+    return static_cast<std::size_t>(std::count_if(
+        functions.begin(), functions.end(),
+        [&r](const truth_table& f) { return home_of(r, f) == 1; }));
+  };
+  for (std::uint64_t v = 1; v < 0xffff && homed_on_b() == 0; ++v) {
+    const auto f = truth_table::from_words(4, &v, 1);
+    if (home_of(r, f) == 1) {
+      functions.push_back(f);
+    }
+  }
+  ASSERT_GT(homed_on_b(), 0u);
   std::string script;
-  for (const auto& h : hexes) {
-    script += "SYNTH stp 3 " + h + "\n";
+  for (const auto& f : functions) {
+    script += "SYNTH stp " + std::to_string(f.num_vars()) + " " + f.to_hex() +
+              "\n";
   }
   script += "QUIT\n";
   run_route_session(r, script);
-  EXPECT_EQ(r.counters().routed_ok, hexes.size());
+  EXPECT_EQ(r.counters().routed_ok, functions.size());
 
   // Kill one shard; every key must still get an OK (ring failover).
-  const auto dead_port = b.port();
   b.stop();
-  const port_holder hold{dead_port};
-  ASSERT_TRUE(hold.bound());
   const auto out = run_route_session(r, script);
   const auto lines = split_lines(out);
   unsigned oks = 0;
   for (const auto& line : lines) {
     oks += line.rfind("OK success ", 0) == 0 ? 1 : 0;
   }
-  EXPECT_EQ(oks, hexes.size()) << "every request must survive the kill";
-  EXPECT_GT(r.counters().failovers, 0u);
+  EXPECT_EQ(oks, functions.size()) << "every request must survive the kill";
+  EXPECT_GE(r.counters().failovers, homed_on_b())
+      << "every request homed on the dead shard is served by a replica";
   EXPECT_GT(r.counters().backend_failures, 0u);
 }
 
 TEST_F(Route, AllBackendsDownDegradesToBusyWithComputedHint) {
-  shard a, b;
+  shard a{private_socket_path("down_a")};
+  shard b{private_socket_path("down_b")};
   auto opts = quick_router_options({a.spec(), b.spec()});
   opts.fail_threshold = 1;
   router r{opts};
-  const auto port_a = a.port();
-  const auto port_b = b.port();
   a.stop();
   b.stop();
-  const port_holder hold_a{port_a};
-  const port_holder hold_b{port_b};
-  ASSERT_TRUE(hold_a.bound());
-  ASSERT_TRUE(hold_b.bound());
 
   const auto out =
       run_route_session(r, "SYNTH stp 3 e8\nSYNTH stp 3 96\nQUIT\n");
@@ -391,7 +399,22 @@ TEST_F(Route, AllBackendsDownDegradesToBusyWithComputedHint) {
 TEST_F(Route, BatchDecomposesAndReassemblesInOrder) {
   shard a, b, c;
   router r{quick_router_options({a.spec(), b.spec(), c.spec()})};
-  const std::vector<std::string> hexes{"e8", "96", "80", "06", "68"};
+  // Five classes, plus the first further class homed on another shard if
+  // the ring (built on this run's ephemeral ports) homes all five on one:
+  // the batch must span shards.
+  std::vector<std::string> hexes{"e8", "96", "80", "06", "68"};
+  std::set<std::size_t> homes;
+  for (const auto& h : hexes) {
+    homes.insert(home_of(r, truth_table::from_hex(3, h)));
+  }
+  for (unsigned v = 1; v < 255 && homes.size() < 2; ++v) {
+    std::ostringstream os;
+    os << std::hex << (v < 16 ? "0" : "") << v;
+    if (homes.insert(home_of(r, truth_table::from_hex(3, os.str()))).second) {
+      hexes.push_back(os.str());
+    }
+  }
+  ASSERT_GE(homes.size(), 2u);
   std::string script = "BATCH\n";
   for (const auto& h : hexes) {
     script += "stp 3 " + h + "\n";
@@ -421,12 +444,15 @@ TEST_F(Route, BatchDecomposesAndReassemblesInOrder) {
           << "cross-wired reply at index " << i;
     }
   }
-  // At least two shards served parts of one batch.
-  unsigned backends_hit = 0;
-  for (const shard* s : {&a, &b, &c}) {
-    backends_hit += s->daemon->counters().commands > 0 ? 1 : 0;
+  // Exactly the shards the keys home on served parts of the batch.
+  std::set<std::size_t> served;
+  const std::vector<const shard*> fleet{&a, &b, &c};
+  for (std::size_t idx = 0; idx < fleet.size(); ++idx) {
+    if (fleet[idx]->daemon->counters().commands > 0) {
+      served.insert(idx);
+    }
   }
-  EXPECT_GE(backends_hit, 2u);
+  EXPECT_EQ(served, homes);
 }
 
 TEST_F(Route, ProbesDriveEjectionAndReadmission) {
